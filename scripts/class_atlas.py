@@ -12,15 +12,8 @@ from __future__ import annotations
 
 import argparse
 from collections import defaultdict
-from dataclasses import dataclass
 
 from conicring import Conic, brauer_class, rational_point
-
-
-@dataclass
-class AtlasConfig:
-    height: int = 10
-    show_points: bool = True
 
 
 def squarefree_values(height: int) -> list[int]:
@@ -31,10 +24,10 @@ def squarefree_values(height: int) -> list[int]:
     return sorted(values, key=lambda v: (abs(v), v < 0))
 
 
-def build_atlas(config: AtlasConfig) -> dict:
+def build_atlas(height: int) -> dict:
     atlas = defaultdict(list)
-    for a in squarefree_values(config.height):
-        for b in squarefree_values(config.height):
+    for a in squarefree_values(height):
+        for b in squarefree_values(height):
             conic = Conic(a, b)
             atlas[brauer_class(conic)].append(conic)
     return atlas
@@ -45,18 +38,17 @@ def main() -> int:
     parser.add_argument("--height", type=int, default=10)
     parser.add_argument("--no-points", action="store_true")
     args = parser.parse_args()
-    config = AtlasConfig(height=args.height, show_points=not args.no_points)
 
-    atlas = build_atlas(config)
+    atlas = build_atlas(args.height)
     classes = sorted(atlas, key=lambda c: (len(c.places), c.places))
     total = sum(len(v) for v in atlas.values())
-    print(f"{total} conics of height <= {config.height}, {len(classes)} classes\n")
+    print(f"{total} conics of height <= {args.height}, {len(classes)} classes\n")
     print(f"{'class':<18}{'count':>6}  representative")
     for cls in classes:
         assert len(cls.places) % 2 == 0
         rep = min(atlas[cls], key=lambda c: (abs(c.a), abs(c.b), c.a, c.b))
         row = f"{str(cls):<18}{len(atlas[cls]):>6}  {rep.text_form()}"
-        if config.show_points and cls.is_trivial:
+        if not args.no_points and cls.is_trivial:
             x, y, z = rational_point(rep)
             row += f"   point ({x}:{y}:{z})"
         print(row)

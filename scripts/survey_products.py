@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
@@ -30,22 +29,14 @@ from conicring import (
 )
 
 
-@dataclass
-class SurveyConfig:
-    trials: int = 200
-    max_factors: int = 5
-    height: int = 12
-    seed: int = 7
-
-
-def random_product(rng: Random, config: SurveyConfig) -> ConicProduct:
+def random_product(rng: Random, args: argparse.Namespace) -> ConicProduct:
     def coeff():
         value = 0
         while value == 0:
-            value = rng.randint(-config.height, config.height)
+            value = rng.randint(-args.height, args.height)
         return Fraction(value)
 
-    size = rng.randint(0, config.max_factors)
+    size = rng.randint(0, args.max_factors)
     return ConicProduct(new_conic(coeff(), coeff()) for _ in range(size))
 
 
@@ -70,14 +61,13 @@ def main() -> int:
     parser.add_argument("--height", type=int, default=12)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
-    config = SurveyConfig(args.trials, args.max_factors, args.height, args.seed)
-    rng = Random(config.seed)
+    rng = Random(args.seed)
 
     shapes = Counter()
     verdicts = Counter()
-    for _ in range(config.trials):
-        left = random_product(rng, config)
-        right = random_product(rng, config)
+    for _ in range(args.trials):
+        left = random_product(rng, args)
+        right = random_product(rng, args)
         shapes[cross_check_normal_form(left)] += 1
         shapes[cross_check_normal_form(right)] += 1
         equal = decide_equal_products(left, right).equivalent
@@ -89,8 +79,8 @@ def main() -> int:
         else:
             verdicts["distinct"] += 1
 
-    print(f"{2 * config.trials} products, factors <= {config.max_factors}, "
-          f"height <= {config.height}, seed {config.seed}")
+    print(f"{2 * args.trials} products, factors <= {args.max_factors}, "
+          f"height <= {args.height}, seed {args.seed}")
     print("\nnormal forms (m, dim G):")
     for (m, dim), count in sorted(shapes.items()):
         print(f"  m={m} dim={dim}: {count}")

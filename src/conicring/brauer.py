@@ -6,9 +6,10 @@ A subgroup is stored as the unique reduced echelon basis with respect to the
 canonical place order, which makes subgroup equality structural and lets
 subgroups serve as map keys.
 
-All linear algebra runs on int bitsets over the finitely many places that
-occur in a given computation, in the style of a dense GF(2) row reduction;
-bit i of a row corresponds to the i-th smallest place in play.
+Row reduction runs on int bitsets over the finitely many places that occur
+in a given computation, in the style of a dense GF(2) row reduction; bit i
+of a row corresponds to the i-th smallest place in play.  Membership reduces
+a class's place set against the basis directly.
 """
 
 from __future__ import annotations
@@ -156,16 +157,16 @@ def join(g1: Subgroup, g2: Subgroup) -> Subgroup:
 
 
 def contains(group: Subgroup, x: BrauerClass) -> bool:
-    """Whether x reduces to the trivial class against the basis."""
-    places = _ambient((*group.basis, x))
-    index = {p: i for i, p in enumerate(places)}
-    bits = _to_bits(x, index)
-    for row_cls in group.basis:
-        row = _to_bits(row_cls, index)
-        pivot_bit = row & -row
-        if bits & pivot_bit:
-            bits ^= row
-    return bits == 0
+    """Whether x reduces to the trivial class against the basis.
+
+    A basis class is added to the remainder when the remainder holds its
+    pivot.  No pivot is ramified in another basis class, so one pass decides.
+    """
+    rest = set(x.places)
+    for cls in group.basis:
+        if cls.places[0] in rest:
+            rest.symmetric_difference_update(cls.places)
+    return not rest
 
 
 def subgroup_leq(g1: Subgroup, g2: Subgroup) -> bool:

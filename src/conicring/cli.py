@@ -25,7 +25,6 @@ from .conics import (
 from .errors import InvalidConic, ParseError, ResourceBoundExceeded
 from .gring import (
     ConicProduct,
-    Decision,
     canonical_of_product,
     decide_equal_products,
     decide_stably_birational,
@@ -129,11 +128,15 @@ def cmd_product(args) -> int:
     return 0
 
 
-def _emit_decision(args, command: str, verdicts: tuple[str, str], decision: Decision) -> int:
-    verdict = verdicts[0] if decision.equivalent else verdicts[1]
+def cmd_decide(args) -> int:
+    """equal and stably-birational; each subparser sets args.decide and args.verdicts."""
+    left = ConicProduct(read_conics(args.path_a, args.factor_bound))
+    right = ConicProduct(read_conics(args.path_b, args.factor_bound))
+    decision = args.decide(left, right, args.factor_bound)
+    verdict = args.verdicts[0] if decision.equivalent else args.verdicts[1]
     if args.json:
         _print_json({
-            "command": command,
+            "command": args.command,
             "verdict": verdict,
             "reason": decision.reason,
             "size_a": decision.size_left,
@@ -149,22 +152,6 @@ def _emit_decision(args, command: str, verdicts: tuple[str, str], decision: Deci
             detail += f" witness={decision.witness}"
         print(detail)
     return 0
-
-
-def cmd_equal(args) -> int:
-    left = ConicProduct(read_conics(args.path_a, args.factor_bound))
-    right = ConicProduct(read_conics(args.path_b, args.factor_bound))
-    decision = decide_equal_products(left, right, args.factor_bound)
-    return _emit_decision(args, "equal", ("EQUAL", "NOT_EQUAL"), decision)
-
-
-def cmd_stably_birational(args) -> int:
-    left = ConicProduct(read_conics(args.path_a, args.factor_bound))
-    right = ConicProduct(read_conics(args.path_b, args.factor_bound))
-    decision = decide_stably_birational(left, right, args.factor_bound)
-    return _emit_decision(
-        args, "stably-birational", ("STABLY_BIRATIONAL", "NOT_STABLY_BIRATIONAL"), decision
-    )
 
 
 def cmd_reduce(args) -> int:
@@ -246,13 +233,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="decide equality of two products in the ring")
     p.add_argument("path_a")
     p.add_argument("path_b")
-    p.set_defaults(func=cmd_equal)
+    p.set_defaults(func=cmd_decide, decide=decide_equal_products,
+                   verdicts=("EQUAL", "NOT_EQUAL"))
 
     p = sub.add_parser("stably-birational", parents=[common],
                        help="decide stable birationality of two products")
     p.add_argument("path_a")
     p.add_argument("path_b")
-    p.set_defaults(func=cmd_stably_birational)
+    p.set_defaults(func=cmd_decide, decide=decide_stably_birational,
+                   verdicts=("STABLY_BIRATIONAL", "NOT_STABLY_BIRATIONAL"))
 
     p = sub.add_parser("reduce", parents=[common],
                        help="transvection script reducing conic classes to a basis")

@@ -75,7 +75,7 @@ def new_conic(a, b, factor_bound: int = DEFAULT_FACTOR_BOUND) -> Conic:
 def _ramification(a: int, b: int, factor_bound: int) -> BrauerClass:
     ramified = [
         v for v in candidate_places(a, b, factor_bound)
-        if hilbert_symbol(a, b, v, factor_bound) == -1
+        if hilbert_symbol(a, b, v) == -1
     ]
     return BrauerClass(ramified)
 
@@ -131,6 +131,23 @@ def _nonsquare_in_completion(d: int, place: Place) -> bool:
     return legendre(d, p) == -1
 
 
+def _splitting_discriminants(
+    c1: Conic, c2: Conic, search_bound: int, factor_bound: int
+) -> Iterator[int]:
+    """Squarefree d with |d| <= search_bound splitting both conics, in height order.
+
+    d works iff it is a nonsquare in the completion at every ramified place
+    of either conic.
+    """
+    ramified = sorted(
+        set(brauer_class(c1, factor_bound).places)
+        | set(brauer_class(c2, factor_bound).places)
+    )
+    for d in _signed_squarefree(search_bound):
+        if all(_nonsquare_in_completion(d, v) for v in ramified):
+            yield d
+
+
 def common_splitting_discriminant(
     c1: Conic,
     c2: Conic,
@@ -139,19 +156,27 @@ def common_splitting_discriminant(
 ) -> int:
     """Smallest squarefree d (by |d|, ties positive) with Q(sqrt(d)) splitting both.
 
-    d works iff it is a nonsquare in the completion at every ramified place
-    of either conic; d = 1 is returned exactly when both conics are split.
+    d = 1 is returned exactly when both conics are split.
     """
-    ramified = sorted(
-        set(brauer_class(c1, factor_bound).places)
-        | set(brauer_class(c2, factor_bound).places)
-    )
-    for d in _signed_squarefree(search_bound):
-        if all(_nonsquare_in_completion(d, v) for v in ramified):
-            return d
+    for d in _splitting_discriminants(c1, c2, search_bound, factor_bound):
+        return d
     raise SearchBoundExceeded(
         f"no common splitting discriminant with |d| <= {search_bound}"
     )
+
+
+def _signed_subset_products(base: int, primes: set[int], bound: int) -> list[int]:
+    """Every +-base*prod(S) <= bound in absolute value, S a subset of the primes.
+
+    Sorted by (|v|, v < 0): height order, positive first.
+    """
+    values = []
+    for size in range(len(primes) + 1):
+        for combo in itertools.combinations(primes, size):
+            v = base * math.prod(combo)
+            if v <= bound:
+                values.extend((v, -v))
+    return sorted(values, key=lambda v: (abs(v), v < 0))
 
 
 def _rewrite_candidates(
@@ -173,13 +198,7 @@ def _rewrite_candidates(
         r for r in (3, 5, 7, 11, 13)
         if r not in odd_target and d % r != 0 and legendre(d, r) == 1
     }
-    values: set[int] = set()
-    for size in range(len(optional) + 1):
-        for combo in itertools.combinations(sorted(optional), size):
-            v = mandatory * math.prod(combo)
-            if v <= search_bound:
-                values.update((v, -v))
-    return sorted(values, key=lambda v: (abs(v), v < 0))
+    return _signed_subset_products(mandatory, optional, search_bound)
 
 
 def rewrite_with_discriminant(
@@ -227,13 +246,7 @@ def brauer_product(
     if c1.a == c2.a:
         left, right = c1, c2
     else:
-        ramified = sorted(
-            set(brauer_class(c1, factor_bound).places)
-            | set(brauer_class(c2, factor_bound).places)
-        )
-        for d in _signed_squarefree(search_bound):
-            if not all(_nonsquare_in_completion(d, v) for v in ramified):
-                continue
+        for d in _splitting_discriminants(c1, c2, search_bound, factor_bound):
             try:
                 left = rewrite_with_discriminant(c1, d, search_bound, factor_bound)
                 right = rewrite_with_discriminant(c2, d, search_bound, factor_bound)
@@ -264,18 +277,8 @@ def conic_from_class(
     in the set together with 2 and a few small auxiliary primes; pairs are
     tried in height order and each is checked exactly by classification.
     """
-    primes = sorted(
-        {p.p for p in cls.places if not p.is_real} | {2, 3, 5, 7, 11, 13}
-    )
-    values: list[int] = []
-    for r in range(len(primes) + 1):
-        for combo in itertools.combinations(primes, r):
-            v = math.prod(combo)
-            if v <= search_bound:
-                values.append(v)
-    values = sorted(
-        (s * v for v in values for s in (1, -1)), key=lambda v: (abs(v), v < 0)
-    )
+    primes = {p.p for p in cls.places if not p.is_real} | {2, 3, 5, 7, 11, 13}
+    values = _signed_subset_products(1, primes, search_bound)
     for n, vn in enumerate(values):
         for i in range(n + 1):
             vi = values[i]

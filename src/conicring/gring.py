@@ -15,7 +15,7 @@ so ring equality is structural.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 from .brauer import (
@@ -231,14 +231,12 @@ def decide_equal_products(
     factor_bound: int = DEFAULT_FACTOR_BOUND,
 ) -> Decision:
     """Products are equal in the ring iff sizes match and spans coincide."""
-    g1 = span(brauer_class(c, factor_bound) for c in left.factors)
-    g2 = span(brauer_class(c, factor_bound) for c in right.factors)
-    n1, n2 = len(left), len(right)
-    if n1 != n2:
-        return Decision(False, "size-mismatch", n1, n2)
-    if g1 != g2:
-        return Decision(False, "span-mismatch", n1, n2, _span_witness(g1, g2))
-    return Decision(True, "size-and-span-match", n1, n2)
+    decision = decide_stably_birational(left, right, factor_bound)
+    if len(left) != len(right):
+        return Decision(False, "size-mismatch", len(left), len(right))
+    if decision.equivalent:
+        return replace(decision, reason="size-and-span-match")
+    return decision
 
 
 def decide_stably_birational(

@@ -3,10 +3,11 @@
 Everything is pure and exact.  Rationals are `fractions.Fraction` (always in
 lowest terms with positive denominator, so equality is structural).
 Factorization is trial division with an explicit bound that fails loudly
-rather than ever returning a wrong answer.  Hilbert symbols are evaluated by
-the classical closed-form local formulas: sign analysis at the real place,
-valuations and Legendre symbols at odd primes, and the epsilon/omega
-characters of odd parts at 2.
+rather than ever returning a wrong answer.  Hilbert symbols factor nothing:
+they are evaluated by the classical closed-form local formulas, which need
+only signs at the real place, the valuation parities and Legendre symbols of
+the p-free parts at odd primes, and the epsilon/omega characters of the odd
+parts at 2, so they are exact on arguments of any size.
 """
 
 from __future__ import annotations
@@ -168,28 +169,25 @@ def _omega(u: int) -> int:
     return ((u * u - 1) // 8) % 2
 
 
-def hilbert_symbol(
-    a: Fraction | int,
-    b: Fraction | int,
-    place: Place,
-    factor_bound: int = DEFAULT_FACTOR_BOUND,
-) -> int:
+def hilbert_symbol(a: Fraction | int, b: Fraction | int, place: Place) -> int:
     """Local Hilbert symbol (a, b) at a place of Q, in {+1, -1}.
 
     +1 exactly when x^2 - a*y^2 - b*z^2 = 0 has a nontrivial solution over
-    the completion at the place.  Inputs are reduced to squarefree integers
-    first; the symbol only depends on square classes.
+    the completion at the place.  Nothing is factored: a rational n/d is read
+    as the integer n*d of the same square class, and at a prime p only the
+    parity of its p-adic valuation and its p-free part enter the formula.
     """
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise ValueError("hilbert symbol requires nonzero arguments")
-    sa = squarefree_part(a, factor_bound)
-    sb = squarefree_part(b, factor_bound)
+    # n/d and n*d differ by the square d^2.
+    a, b = a.numerator * a.denominator, b.numerator * b.denominator
     if place.is_real:
-        return -1 if sa < 0 and sb < 0 else 1
+        return -1 if a < 0 and b < 0 else 1
     p = place.p
-    alpha, u = _odd_part(sa, p)
-    beta, w = _odd_part(sb, p)
+    alpha, u = _odd_part(a, p)
+    beta, w = _odd_part(b, p)
+    alpha, beta = alpha % 2, beta % 2
     if p == 2:
         exponent = _eps(u) * _eps(w) + alpha * _omega(w) + beta * _omega(u)
         return -1 if exponent % 2 else 1

@@ -154,6 +154,12 @@ class TestCommonSplittingDiscriminant:
         assert common_splitting_discriminant(C_II, C_I3) == -1
         assert common_splitting_discriminant(C_II, C_II) == -1
 
+    def test_search_bound_below_smallest_discriminant(self):
+        c1 = new_conic(2, 5)  # class {2,5}: -1 is a square at 5, so |d| >= 2
+        assert common_splitting_discriminant(c1, C_SPLIT) == 2
+        with pytest.raises(SearchBoundExceeded):
+            common_splitting_discriminant(c1, C_SPLIT, search_bound=1)
+
     @given(conics, conics)
     @settings(max_examples=40)
     def test_splits_both(self, c1, c2):
@@ -214,6 +220,69 @@ class TestBrauerProduct:
             brauer_product(c1, c2)
         product = brauer_product(c1, c2, search_bound=10**5)
         assert brauer_class(product) == class_add(brauer_class(c1), brauer_class(c2))
+
+
+PINNED_FACTORS = [Conic(a, b) for a in (-1, 2, -3) for b in (-1, 3, 5, -7)]
+
+#: brauer_product(c1, c2) for c1 the key and c2 running over PINNED_FACTORS.
+PINNED_PRODUCTS = {
+    (-1, -1): [(-1, 1), (-1, -3), (-1, -5), (-1, 7), (-1, -1), (-1, -3), (-2, -5), (-1, -1), (-1, 3), (-1, -1), (-3, -10), (-1, 3)],
+    (-1, 3): [(-1, -3), (-1, 1), (-1, 15), (-1, -21), (-1, 3), (-1, 1), (2, 15), (-1, 3), (-1, -1), (-1, 3), (2, 5), (-1, -1)],
+    (-1, 5): [(-1, -5), (-1, 15), (-1, 1), (-1, -35), (1, 1), (-1, 3), (2, 5), (1, 1), (-1, -3), (1, 1), (2, 15), (-1, -3)],
+    (-1, -7): [(-1, 7), (-1, -21), (-1, -35), (-1, 1), (-1, -7), (-1, -21), (-2, -35), (-1, -7), (-1, 21), (-1, -7), (-7, -15), (-1, 21)],
+    (2, -1): [(-1, -1), (-1, 3), (1, 1), (-1, -7), (2, 1), (2, -3), (2, -5), (2, 7), (-1, -3), (1, 1), (2, 15), (-1, -3)],
+    (2, 3): [(-1, -3), (-1, 1), (-1, 3), (-1, -21), (2, -3), (2, 1), (2, 15), (2, -21), (-1, -1), (-1, 3), (2, 5), (-1, -1)],
+    (2, 5): [(-2, -5), (2, 15), (2, 5), (-2, -35), (2, -5), (2, 15), (2, 1), (2, -35), (-3, -10), (2, 5), (2, 3), (-3, -10)],
+    (2, -7): [(-1, -1), (-1, 3), (1, 1), (-1, -7), (2, 7), (2, -21), (2, -35), (2, 1), (-1, -3), (1, 1), (2, 15), (-1, -3)],
+    (-3, -1): [(-1, 3), (-1, -1), (-1, -3), (-1, 21), (-1, -3), (-1, -1), (-3, -10), (-1, -3), (-3, 1), (-3, -3), (-3, -5), (-3, 7)],
+    (-3, 3): [(-1, -1), (-1, 3), (1, 1), (-1, -7), (1, 1), (-1, 3), (2, 5), (1, 1), (-3, -3), (-3, 1), (-3, 15), (-3, -21)],
+    (-3, 5): [(-3, -10), (2, 5), (2, 15), (-7, -15), (2, 15), (2, 5), (2, 3), (2, 15), (-3, -5), (-3, 15), (-3, 1), (-3, -35)],
+    (-3, -7): [(-1, 3), (-1, -1), (-1, -3), (-1, 21), (-1, -3), (-1, -1), (-3, -10), (-1, -3), (-3, 7), (-3, -21), (-3, -35), (-3, 1)],
+}
+
+#: conic_from_class of every even class over 2, 3, 5, 7 and inf.
+PINNED_REPRESENTATIVES = {
+    "": (1, 1),
+    "2 3": (-1, 3),
+    "2 5": (2, 5),
+    "2 7": (-1, 7),
+    "2 inf": (-1, -1),
+    "3 5": (3, 5),
+    "3 7": (3, -7),
+    "3 inf": (-1, -3),
+    "5 7": (5, 7),
+    "5 inf": (-2, -5),
+    "7 inf": (-1, -7),
+    "2 3 5 7": (3, 35),
+    "2 3 5 inf": (-3, -10),
+    "2 3 7 inf": (-1, -21),
+    "2 5 7 inf": (-2, -35),
+    "3 5 7 inf": (-7, -15),
+}
+
+
+def _parse_class(text):
+    return BrauerClass(Place(None if t == "inf" else int(t)) for t in text.split())
+
+
+class TestPinnedSearches:
+    """Exact results of the height-ordered searches, not just their classes."""
+
+    def test_brauer_products(self):
+        classes = {c: oracle_class(c) for c in PINNED_FACTORS}
+        for c1 in PINNED_FACTORS:
+            row = PINNED_PRODUCTS[(c1.a, c1.b)]
+            for c2, (a, b) in zip(PINNED_FACTORS, row, strict=True):
+                product = brauer_product(c1, c2)
+                assert product == Conic(a, b), (c1, c2)
+                assert oracle_class(product) == class_add(classes[c1], classes[c2])
+
+    def test_representatives(self):
+        assert len(PINNED_REPRESENTATIVES) == 16
+        for text, (a, b) in PINNED_REPRESENTATIVES.items():
+            cls = _parse_class(text)
+            assert conic_from_class(cls) == Conic(a, b), text
+            assert oracle_class(Conic(a, b)) == cls
 
 
 class TestQuadExtElem:

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -179,6 +180,24 @@ class TestHilbertSymbol:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             hilbert_symbol(0, 1, Place.real())
+
+    def test_exact_beyond_the_factor_bound(self):
+        # N has two prime factors above 10^6, so trial division to the default
+        # bound cannot factor it; the symbol needs only valuations and Legendre
+        # symbols, so it is still exact.
+        p, q = 1000003, 1000033
+        n = p * q
+        with pytest.raises(FactorBoundExceeded):
+            factor(n)
+        places = [Place.finite(r) for r in (2, 3, p, q)] + [Place.real()]
+        for b in (3, -1):
+            # N has valuation 1 at p and q, where b is a unit: the symbol is (b|p)
+            assert hilbert_symbol(n, b, Place.finite(p)) == brute_legendre(b, p)
+            assert hilbert_symbol(n, b, Place.finite(q)) == brute_legendre(b, q)
+            # at 3, N is a unit: (N|3) when 3 divides b once, 1 when b is a unit too
+            at_three = brute_legendre(n, 3) if b == 3 else 1
+            assert hilbert_symbol(n, b, Place.finite(3)) == at_three
+            assert math.prod(hilbert_symbol(n, b, v) for v in places) == 1
 
 
 class TestCandidatePlaces:
