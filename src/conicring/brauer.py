@@ -123,32 +123,45 @@ def _from_bits(bits: int, places: Sequence[Place]) -> BrauerClass:
     return BrauerClass(p for i, p in enumerate(places) if (bits >> i) & 1)
 
 
-def _rref(rows: list[int], n_cols: int) -> list[int]:
-    """Reduced row echelon form over GF(2); returns nonzero rows by pivot."""
-    work = rows[:]
+def _rref(rows: list[int], n_cols: int) -> tuple[int, list[tuple[int, int]]]:
+    """Reduce rows in place to reduced row echelon form over GF(2).
+
+    Only transvections rows[j] ^= rows[i] are applied, a swap being three of
+    them.  Returns the rank, i.e. the number of leading nonzero rows (in pivot
+    order), and the moves (i, j) in the order they were applied.
+    """
+    moves: list[tuple[int, int]] = []
     cur = 0
     for col in range(n_cols):
         bit = 1 << col
-        pivot = next((r for r in range(cur, len(work)) if work[r] & bit), None)
+        pivot = next((r for r in range(cur, len(rows)) if rows[r] & bit), None)
         if pivot is None:
             continue
-        work[cur], work[pivot] = work[pivot], work[cur]
-        for r in range(len(work)):
-            if r != cur and work[r] & bit:
-                work[r] ^= work[cur]
+        if pivot != cur:
+            for i, j in ((pivot, cur), (cur, pivot), (pivot, cur)):
+                rows[j] ^= rows[i]
+                moves.append((i, j))
+        for r in range(len(rows)):
+            if r != cur and rows[r] & bit:
+                rows[r] ^= rows[cur]
+                moves.append((cur, r))
         cur += 1
-        if cur == len(work):
+        if cur == len(rows):
             break
-    return work[:cur]
+    return cur, moves
+
+
+def _bit_rows(classes: Sequence[BrauerClass]) -> tuple[list[Place], list[int]]:
+    places = _ambient(classes)
+    index = {p: i for i, p in enumerate(places)}
+    return places, [_to_bits(c, index) for c in classes]
 
 
 def span(classes: Iterable[BrauerClass]) -> Subgroup:
     """Canonical basis of the F2-span; independent of the input order."""
-    classes = list(classes)
-    places = _ambient(classes)
-    index = {p: i for i, p in enumerate(places)}
-    rows = _rref([_to_bits(c, index) for c in classes], len(places))
-    return Subgroup(_from_bits(r, places) for r in rows)
+    places, rows = _bit_rows(list(classes))
+    rank, _ = _rref(rows, len(places))
+    return Subgroup(_from_bits(r, places) for r in rows[:rank])
 
 
 def join(g1: Subgroup, g2: Subgroup) -> Subgroup:
@@ -210,33 +223,7 @@ def reduce_generators(
     spans the same subgroup; position swaps are emulated by three
     transvections.
     """
-    places = _ambient(classes)
-    index = {p: i for i, p in enumerate(places)}
-    rows = [_to_bits(c, index) for c in classes]
-    ops: list[TransvectionOp] = []
-
-    def transvect(i: int, j: int) -> None:
-        rows[j] ^= rows[i]
-        ops.append(TransvectionOp(i, j))
-
-    def swap(i: int, j: int) -> None:
-        if i != j:
-            transvect(i, j)
-            transvect(j, i)
-            transvect(i, j)
-
-    cur = 0
-    for col in range(len(places)):
-        bit = 1 << col
-        pivot = next((r for r in range(cur, len(rows)) if rows[r] & bit), None)
-        if pivot is None:
-            continue
-        swap(pivot, cur)
-        for r in range(len(rows)):
-            if r != cur and rows[r] & bit:
-                transvect(cur, r)
-        cur += 1
-        if cur == len(rows):
-            break
-    basis = Subgroup(_from_bits(rows[k], places) for k in range(cur))
-    return ops, basis
+    places, rows = _bit_rows(classes)
+    rank, moves = _rref(rows, len(places))
+    ops = [TransvectionOp(i, j) for i, j in moves]
+    return ops, Subgroup(_from_bits(r, places) for r in rows[:rank])

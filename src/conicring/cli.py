@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -48,7 +49,7 @@ def read_conics(path: str, factor_bound: int) -> list[Conic]:
         line = raw.split("#", 1)[0]
         if not line.strip():
             continue
-        tokens = line.split()
+        tokens = list(re.finditer(r"\S+", line))
         if len(tokens) != 2:
             raise ParseError(
                 f"expected two rationals, got {len(tokens)} token(s)", lineno, 1
@@ -56,9 +57,9 @@ def read_conics(path: str, factor_bound: int) -> list[Conic]:
         values = []
         for tok in tokens:
             try:
-                values.append(parse_rational(tok))
+                values.append(parse_rational(tok.group()))
             except ParseError as exc:
-                raise ParseError(str(exc), lineno, line.index(tok) + 1) from None
+                raise ParseError(str(exc), lineno, tok.start() + 1) from None
         try:
             conics.append(new_conic(values[0], values[1], factor_bound))
         except InvalidConic as exc:
@@ -78,7 +79,7 @@ def cmd_classify(args) -> int:
     conics = read_conics(args.path, args.factor_bound)
     results = []
     for conic in conics:
-        cls = brauer_class(conic, args.factor_bound)
+        cls = brauer_class(conic)
         point = None if not cls.is_trivial else rational_point(conic, args.search_bound)
         results.append((conic, cls, point))
     if args.json:
@@ -107,11 +108,8 @@ def cmd_classify(args) -> int:
 
 def cmd_product(args) -> int:
     conics = read_conics(args.path, args.factor_bound)
-    m, group = canonical_of_product(ConicProduct(conics), args.factor_bound)
-    reps = [
-        conic_from_class(cls, args.search_bound, args.factor_bound)
-        for cls in group.basis
-    ]
+    m, group = canonical_of_product(ConicProduct(conics))
+    reps = [conic_from_class(cls, args.search_bound) for cls in group.basis]
     if args.json:
         _print_json({
             "command": "product",
@@ -132,7 +130,7 @@ def cmd_decide(args) -> int:
     """equal and stably-birational; each subparser sets args.decide and args.verdicts."""
     left = ConicProduct(read_conics(args.path_a, args.factor_bound))
     right = ConicProduct(read_conics(args.path_b, args.factor_bound))
-    decision = args.decide(left, right, args.factor_bound)
+    decision = args.decide(left, right)
     verdict = args.verdicts[0] if decision.equivalent else args.verdicts[1]
     if args.json:
         _print_json({
@@ -156,7 +154,7 @@ def cmd_decide(args) -> int:
 
 def cmd_reduce(args) -> int:
     conics = read_conics(args.path, args.factor_bound)
-    classes = [brauer_class(c, args.factor_bound) for c in conics]
+    classes = [brauer_class(c) for c in conics]
     ops, basis = reduce_generators(classes)
     final = replay(classes, ops)
     expected = list(basis.basis) + [BrauerClass()] * (len(classes) - basis.dim)
@@ -209,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
         "--factor-bound", type=int, default=DEFAULT_FACTOR_BOUND,
-        help="trial-division bound for factoring (default %(default)s)",
+        help="trial-division bound for the input coefficients only (default %(default)s)",
     )
     common.add_argument(
         "--search-bound", type=int, default=DEFAULT_SEARCH_BOUND,

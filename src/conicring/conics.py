@@ -10,6 +10,10 @@ The product of two classes is realized on conics through a common quadratic
 splitting field Q(sqrt(d)): both conics are rewritten as (d, b') and (d, c'),
 and (d, b'c') represents the sum of the classes.  Every bounded search here
 is deterministic (height order) and verified exactly before returning.
+
+The factor bound applies in one place only: `new_conic`, where input
+rationals are reduced to squarefree integers.  Everything downstream reads
+the coefficients of an existing Conic, which are already fully trial-divided.
 """
 
 from __future__ import annotations
@@ -64,7 +68,12 @@ class Conic:
 
 
 def new_conic(a, b, factor_bound: int = DEFAULT_FACTOR_BOUND) -> Conic:
-    """Validate and square-class-reduce coefficients into a Conic."""
+    """Validate and square-class-reduce coefficients into a Conic.
+
+    This is the only place the factor bound applies: trial division of the
+    input numerators and denominators stops at `factor_bound`, and a cofactor
+    it cannot certify raises FactorBoundExceeded.
+    """
     a, b = Fraction(a), Fraction(b)
     if a == 0 or b == 0:
         raise InvalidConic("coefficients of a smooth conic must be nonzero")
@@ -72,33 +81,35 @@ def new_conic(a, b, factor_bound: int = DEFAULT_FACTOR_BOUND) -> Conic:
 
 
 @functools.lru_cache(maxsize=None)
-def _ramification(a: int, b: int, factor_bound: int) -> BrauerClass:
+def _ramification(a: int, b: int) -> BrauerClass:
+    # Conic.__post_init__ has already trial-divided a and b up to their square
+    # roots, so factoring them in full costs no more than construction did.
     ramified = [
-        v for v in candidate_places(a, b, factor_bound)
+        v for v in candidate_places(a, b, max(abs(a), abs(b)))
         if hilbert_symbol(a, b, v) == -1
     ]
     return BrauerClass(ramified)
 
 
-def brauer_class(conic: Conic, factor_bound: int = DEFAULT_FACTOR_BOUND) -> BrauerClass:
+def brauer_class(conic: Conic) -> BrauerClass:
     """The ramification set of the conic's quaternion symbol."""
-    return _ramification(conic.a, conic.b, factor_bound)
+    return _ramification(conic.a, conic.b)
 
 
-def has_rational_point(conic: Conic, factor_bound: int = DEFAULT_FACTOR_BOUND) -> bool:
+def has_rational_point(conic: Conic) -> bool:
     """Split test: a point exists over Q iff no place ramifies (Hasse-Minkowski)."""
-    return brauer_class(conic, factor_bound).is_trivial
+    return brauer_class(conic).is_trivial
 
 
-def is_isomorphic(c1: Conic, c2: Conic, factor_bound: int = DEFAULT_FACTOR_BOUND) -> bool:
+def is_isomorphic(c1: Conic, c2: Conic) -> bool:
     """Conics are isomorphic iff their classes agree."""
-    return brauer_class(c1, factor_bound) == brauer_class(c2, factor_bound)
+    return brauer_class(c1) == brauer_class(c2)
 
 
-def admits_rational_map(c1: Conic, c2: Conic, factor_bound: int = DEFAULT_FACTOR_BOUND) -> bool:
+def admits_rational_map(c1: Conic, c2: Conic) -> bool:
     """Whether a rational map c1 -> c2 exists: c2 is split, or c1 and c2 are isomorphic."""
-    cls2 = brauer_class(c2, factor_bound)
-    return cls2.is_trivial or brauer_class(c1, factor_bound) == cls2
+    cls2 = brauer_class(c2)
+    return cls2.is_trivial or brauer_class(c1) == cls2
 
 
 def _signed_squarefree(limit: int) -> Iterator[int]:
@@ -131,34 +142,26 @@ def _nonsquare_in_completion(d: int, place: Place) -> bool:
     return legendre(d, p) == -1
 
 
-def _splitting_discriminants(
-    c1: Conic, c2: Conic, search_bound: int, factor_bound: int
-) -> Iterator[int]:
+def _splitting_discriminants(c1: Conic, c2: Conic, search_bound: int) -> Iterator[int]:
     """Squarefree d with |d| <= search_bound splitting both conics, in height order.
 
     d works iff it is a nonsquare in the completion at every ramified place
     of either conic.
     """
-    ramified = sorted(
-        set(brauer_class(c1, factor_bound).places)
-        | set(brauer_class(c2, factor_bound).places)
-    )
+    ramified = sorted(set(brauer_class(c1).places) | set(brauer_class(c2).places))
     for d in _signed_squarefree(search_bound):
         if all(_nonsquare_in_completion(d, v) for v in ramified):
             yield d
 
 
 def common_splitting_discriminant(
-    c1: Conic,
-    c2: Conic,
-    search_bound: int = DEFAULT_SEARCH_BOUND,
-    factor_bound: int = DEFAULT_FACTOR_BOUND,
+    c1: Conic, c2: Conic, search_bound: int = DEFAULT_SEARCH_BOUND
 ) -> int:
     """Smallest squarefree d (by |d|, ties positive) with Q(sqrt(d)) splitting both.
 
     d = 1 is returned exactly when both conics are split.
     """
-    for d in _splitting_discriminants(c1, c2, search_bound, factor_bound):
+    for d in _splitting_discriminants(c1, c2, search_bound):
         return d
     raise SearchBoundExceeded(
         f"no common splitting discriminant with |d| <= {search_bound}"
@@ -179,9 +182,7 @@ def _signed_subset_products(base: int, primes: set[int], bound: int) -> list[int
     return sorted(values, key=lambda v: (abs(v), v < 0))
 
 
-def _rewrite_candidates(
-    target: BrauerClass, d: int, search_bound: int, factor_bound: int
-) -> list[int]:
+def _rewrite_candidates(target: BrauerClass, d: int, search_bound: int) -> list[int]:
     """Candidate second coefficients for presenting `target` as (d, e).
 
     The symbol (d, e) ramifies at an odd prime q not dividing d only when
@@ -193,7 +194,7 @@ def _rewrite_candidates(
     """
     odd_target = {v.p for v in target.places if not v.is_real and v.p != 2}
     mandatory = math.prod(q for q in odd_target if d % q != 0)
-    _, d_factors = factor(d, factor_bound)
+    _, d_factors = factor(d, abs(d))
     optional = {2} | {q for q in d_factors if q != 2} | {
         r for r in (3, 5, 7, 11, 13)
         if r not in odd_target and d % r != 0 and legendre(d, r) == 1
@@ -202,10 +203,7 @@ def _rewrite_candidates(
 
 
 def rewrite_with_discriminant(
-    conic: Conic,
-    d: int,
-    search_bound: int = DEFAULT_SEARCH_BOUND,
-    factor_bound: int = DEFAULT_FACTOR_BOUND,
+    conic: Conic, d: int, search_bound: int = DEFAULT_SEARCH_BOUND
 ) -> Conic:
     """Present the conic's class as (d, e): same Brauer class, first coefficient d.
 
@@ -214,15 +212,15 @@ def rewrite_with_discriminant(
     primes; every candidate is verified exactly by class equality, so the
     result is correct by construction.
     """
-    target = brauer_class(conic, factor_bound)
+    target = brauer_class(conic)
     if d == 1 and not target.is_trivial:
         raise ValueError("d = 1 cannot present a non-split conic")
     for v in target.places:
         if not _nonsquare_in_completion(d, v):
             raise ValueError(f"Q(sqrt({d})) does not split {conic}")
-    for e in _rewrite_candidates(target, d, search_bound, factor_bound):
+    for e in _rewrite_candidates(target, d, search_bound):
         candidate = Conic(d, e)
-        if brauer_class(candidate, factor_bound) == target:
+        if brauer_class(candidate) == target:
             return candidate
     raise SearchBoundExceeded(
         f"no coefficient e with |e| <= {search_bound} presents {conic} over sqrt({d})"
@@ -230,10 +228,7 @@ def rewrite_with_discriminant(
 
 
 def brauer_product(
-    c1: Conic,
-    c2: Conic,
-    search_bound: int = DEFAULT_SEARCH_BOUND,
-    factor_bound: int = DEFAULT_FACTOR_BOUND,
+    c1: Conic, c2: Conic, search_bound: int = DEFAULT_SEARCH_BOUND
 ) -> Conic:
     """A conic whose class is the sum of the two input classes.
 
@@ -246,10 +241,10 @@ def brauer_product(
     if c1.a == c2.a:
         left, right = c1, c2
     else:
-        for d in _splitting_discriminants(c1, c2, search_bound, factor_bound):
+        for d in _splitting_discriminants(c1, c2, search_bound):
             try:
-                left = rewrite_with_discriminant(c1, d, search_bound, factor_bound)
-                right = rewrite_with_discriminant(c2, d, search_bound, factor_bound)
+                left = rewrite_with_discriminant(c1, d, search_bound)
+                right = rewrite_with_discriminant(c2, d, search_bound)
             except SearchBoundExceeded:
                 continue
             break
@@ -257,20 +252,16 @@ def brauer_product(
             raise SearchBoundExceeded(
                 f"no common presentation of {c1} and {c2} within {search_bound}"
             )
-    product = new_conic(left.a, Fraction(left.b) * Fraction(right.b), factor_bound)
-    expected = class_add(brauer_class(c1, factor_bound), brauer_class(c2, factor_bound))
-    if brauer_class(product, factor_bound) != expected:
+    g = math.gcd(left.b, right.b)  # both squarefree: this is the squarefree part
+    product = Conic(left.a, left.b * right.b // g**2)
+    if brauer_class(product) != class_add(brauer_class(c1), brauer_class(c2)):
         raise AssertionError(
             f"product {product} of {c1}, {c2} fails class additivity"
         )
     return product
 
 
-def conic_from_class(
-    cls: BrauerClass,
-    search_bound: int = DEFAULT_SEARCH_BOUND,
-    factor_bound: int = DEFAULT_FACTOR_BOUND,
-) -> Conic:
+def conic_from_class(cls: BrauerClass, search_bound: int = DEFAULT_SEARCH_BOUND) -> Conic:
     """A conic realizing a given ramification set, by verified bounded search.
 
     Candidate coefficients are signed squarefree products of the odd primes
@@ -285,7 +276,7 @@ def conic_from_class(
             pairs = ((vn, vn),) if i == n else ((vi, vn), (vn, vi))
             for a, b in pairs:
                 candidate = Conic(a, b)
-                if brauer_class(candidate, factor_bound) == cls:
+                if brauer_class(candidate) == cls:
                     return candidate
     raise SearchBoundExceeded(
         f"no conic with coefficients <= {search_bound} realizes {cls}"
@@ -449,9 +440,7 @@ def rational_point(conic: Conic, search_bound: int = DEFAULT_SEARCH_BOUND) -> tu
 
 
 def point_over_splitting_field(
-    conic: Conic,
-    search_bound: int = DEFAULT_SEARCH_BOUND,
-    factor_bound: int = DEFAULT_FACTOR_BOUND,
+    conic: Conic, search_bound: int = DEFAULT_SEARCH_BOUND
 ) -> ProjPoint:
     """A point on the conic over its splitting field.
 
@@ -459,6 +448,6 @@ def point_over_splitting_field(
     non-split conic must be presented as (d, e) with d its splitting
     discriminant; the point is then (sqrt(d) : 1 : 0).
     """
-    if has_rational_point(conic, factor_bound):
+    if has_rational_point(conic):
         return ProjPoint(rational_point(conic, search_bound))
     return ProjPoint((sqrt_of(conic.a), 1, 0))

@@ -29,7 +29,6 @@ from .brauer import (
 )
 from .conics import Conic, brauer_class
 from .errors import ZeroElement
-from .numtheory import DEFAULT_FACTOR_BOUND
 
 
 @functools.total_ordering
@@ -186,20 +185,16 @@ class ConicProduct:
         return len(self.factors)
 
 
-def canonical_of_product(
-    product: ConicProduct, factor_bound: int = DEFAULT_FACTOR_BOUND
-) -> tuple[int, Subgroup]:
+def canonical_of_product(product: ConicProduct) -> tuple[int, Subgroup]:
     """Normal form (m, G) of a product: G spans the factor classes, m = n - dim G."""
-    classes = [brauer_class(c, factor_bound) for c in product.factors]
+    classes = [brauer_class(c) for c in product.factors]
     group = span(classes)
     return len(classes) - group.dim, group
 
 
-def from_conic_product(
-    product: ConicProduct, factor_bound: int = DEFAULT_FACTOR_BOUND
-) -> RingElement:
+def from_conic_product(product: ConicProduct) -> RingElement:
     """The ring element of a product: a single term with coefficient 1."""
-    m, group = canonical_of_product(product, factor_bound)
+    m, group = canonical_of_product(product)
     return RingElement({Term(group, m): 1})
 
 
@@ -225,13 +220,9 @@ def _span_witness(g1: Subgroup, g2: Subgroup) -> BrauerClass | None:
     return None
 
 
-def decide_equal_products(
-    left: ConicProduct,
-    right: ConicProduct,
-    factor_bound: int = DEFAULT_FACTOR_BOUND,
-) -> Decision:
+def decide_equal_products(left: ConicProduct, right: ConicProduct) -> Decision:
     """Products are equal in the ring iff sizes match and spans coincide."""
-    decision = decide_stably_birational(left, right, factor_bound)
+    decision = decide_stably_birational(left, right)
     if len(left) != len(right):
         return Decision(False, "size-mismatch", len(left), len(right))
     if decision.equivalent:
@@ -239,14 +230,10 @@ def decide_equal_products(
     return decision
 
 
-def decide_stably_birational(
-    left: ConicProduct,
-    right: ConicProduct,
-    factor_bound: int = DEFAULT_FACTOR_BOUND,
-) -> Decision:
+def decide_stably_birational(left: ConicProduct, right: ConicProduct) -> Decision:
     """Products are stably birational iff the spans coincide; size is irrelevant."""
-    g1 = span(brauer_class(c, factor_bound) for c in left.factors)
-    g2 = span(brauer_class(c, factor_bound) for c in right.factors)
+    g1 = span(brauer_class(c) for c in left.factors)
+    g2 = span(brauer_class(c) for c in right.factors)
     n1, n2 = len(left), len(right)
     if g1 != g2:
         return Decision(False, "span-mismatch", n1, n2, _span_witness(g1, g2))

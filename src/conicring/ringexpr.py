@@ -155,7 +155,7 @@ class _Parser:
                     break
                 if tok.kind != ",":
                     self.fail(tok, "expected ',' or ']' in conic list")
-        return from_conic_product(ConicProduct(conics), self.factor_bound)
+        return from_conic_product(ConicProduct(conics))
 
     def conic_pair(self):
         self.expect("(")

@@ -106,6 +106,28 @@ class TestExitCodes:
         result = cli_process("classify", "--factor-bound", "10", str(path))
         assert is_handled_error(result, 2, b"error: unfactored cofactor"), result.stderr.decode()
 
+    def test_bad_second_token_column(self, tmp_path):
+        for text, message in (("-1 -\n", b"error: line 1, column 4"),
+                              ("1/2 1/\n", b"error: line 1, column 5")):
+            path = tmp_path / "bad.txt"
+            path.write_text(text)
+            result = cli_process("classify", str(path))
+            assert is_handled_error(result, 1, message), result.stderr.decode()
+
+    def test_ring_eval_factor_bound_is_exit_two(self, tmp_path):
+        path = tmp_path / "big.txt"
+        path.write_text("[(1,10403)]\n")
+        result = cli_process("ring-eval", "--factor-bound", "10", str(path))
+        assert is_handled_error(result, 2, b"error: unfactored cofactor"), result.stderr.decode()
+
+    def test_factor_bound_applies_to_input_only(self, tmp_path):
+        """-21 = -3 * 7 factors under bound 3; the representative search may not re-factor."""
+        path = tmp_path / "conic.txt"
+        path.write_text("-1 -21\n")
+        expected = b"m=0, dim G=1, basis [{2,3,7,inf}]\nrepresentative {2,3,7,inf}: -1 -21\n"
+        assert run_cli("product", str(path)) == expected
+        assert run_cli("product", "--factor-bound", "3", str(path)) == expected
+
     def test_search_bound_is_exit_two(self):
         result = cli_process("classify", "--search-bound", "0", "conics_mixed.txt")
         message = b"error: no rational point of height <= 0"
