@@ -1,6 +1,8 @@
 """Command-line front end.
 
-Subcommands: classify, product, equal, stably-birational, reduce, ring-eval.
+Subcommands: classify, product, equal, stably-birational, reduce, ring-eval,
+one row of `COMMANDS` each.  Every handler returns a JSON payload and the
+text report; `main` prints one of them.
 Input files are UTF-8; '#' starts a comment and blank lines are ignored.
 Exit codes: 0 success (any verdict), 1 malformed input, 2 resource bound
 exceeded.  Output is deterministic: identical inputs give identical bytes.
@@ -40,6 +42,8 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise ParseError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def read_conics(path: str, factor_bound: int) -> list[Conic]:
@@ -71,132 +75,118 @@ def _class_json(cls: BrauerClass) -> list[str]:
     return [str(p) for p in cls.places]
 
 
-def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
-
-
-def cmd_classify(args) -> int:
-    conics = read_conics(args.path, args.factor_bound)
-    results = []
-    for conic in conics:
+def cmd_classify(args):
+    conics, lines = [], []
+    for conic in read_conics(args.path, args.factor_bound):
         cls = brauer_class(conic)
-        point = None if not cls.is_trivial else rational_point(conic, args.search_bound)
-        results.append((conic, cls, point))
-    if args.json:
-        _print_json({
-            "command": "classify",
-            "conics": [
-                {
-                    "a": conic.a,
-                    "b": conic.b,
-                    "class": _class_json(cls),
-                    "split": cls.is_trivial,
-                    "point": list(point) if point else None,
-                }
-                for conic, cls, point in results
-            ],
+        point = rational_point(conic, args.search_bound) if cls.is_trivial else None
+        conics.append({
+            "a": conic.a,
+            "b": conic.b,
+            "class": _class_json(cls),
+            "split": cls.is_trivial,
+            "point": list(point) if point else None,
         })
-    else:
-        for conic, cls, point in results:
-            verdict = "split" if cls.is_trivial else "non-split"
-            line = f"{conic}: class {cls}, {verdict}"
-            if point:
-                line += f", point ({point[0]}:{point[1]}:{point[2]})"
-            print(line)
-    return 0
+        line = f"{conic}: class {cls}, {'split' if cls.is_trivial else 'non-split'}"
+        if point:
+            line += f", point ({point[0]}:{point[1]}:{point[2]})"
+        lines.append(line)
+    return {"conics": conics}, lines
 
 
-def cmd_product(args) -> int:
-    conics = read_conics(args.path, args.factor_bound)
-    m, group = canonical_of_product(ConicProduct(conics))
+def cmd_product(args):
+    m, group = canonical_of_product(ConicProduct(read_conics(args.path, args.factor_bound)))
     reps = [conic_from_class(cls, args.search_bound) for cls in group.basis]
-    if args.json:
-        _print_json({
-            "command": "product",
-            "m": m,
-            "dim": group.dim,
-            "basis": [_class_json(cls) for cls in group.basis],
-            "representatives": [[c.a, c.b] for c in reps],
-        })
-    else:
-        basis_text = "[" + ", ".join(str(cls) for cls in group.basis) + "]"
-        print(f"m={m}, dim G={group.dim}, basis {basis_text}")
-        for cls, rep in zip(group.basis, reps):
-            print(f"representative {cls}: {rep.text_form()}")
-    return 0
+    basis_text = ", ".join(str(cls) for cls in group.basis)
+    lines = [f"m={m}, dim G={group.dim}, basis [{basis_text}]"]
+    lines += [f"representative {cls}: {rep.text_form()}" for cls, rep in zip(group.basis, reps)]
+    return {
+        "m": m,
+        "dim": group.dim,
+        "basis": [_class_json(cls) for cls in group.basis],
+        "representatives": [[c.a, c.b] for c in reps],
+    }, lines
 
 
-def cmd_decide(args) -> int:
-    """equal and stably-birational; each subparser sets args.decide and args.verdicts."""
+def cmd_decide(args):
+    """equal and stably-birational; their COMMANDS rows set args.decide and args.verdicts."""
     left = ConicProduct(read_conics(args.path_a, args.factor_bound))
     right = ConicProduct(read_conics(args.path_b, args.factor_bound))
     decision = args.decide(left, right)
     verdict = args.verdicts[0] if decision.equivalent else args.verdicts[1]
-    if args.json:
-        _print_json({
-            "command": args.command,
-            "verdict": verdict,
-            "reason": decision.reason,
-            "size_a": decision.size_left,
-            "size_b": decision.size_right,
-            "witness": _class_json(decision.witness) if decision.witness else None,
-        })
-    else:
-        print(verdict)
-        detail = f"reason: {decision.reason}"
-        if decision.reason.startswith("size"):
-            detail += f" |A|={decision.size_left} |B|={decision.size_right}"
-        if decision.witness is not None:
-            detail += f" witness={decision.witness}"
-        print(detail)
-    return 0
+    detail = f"reason: {decision.reason}"
+    if decision.reason.startswith("size"):
+        detail += f" |A|={decision.size_left} |B|={decision.size_right}"
+    if decision.witness is not None:
+        detail += f" witness={decision.witness}"
+    return {
+        "verdict": verdict,
+        "reason": decision.reason,
+        "size_a": decision.size_left,
+        "size_b": decision.size_right,
+        "witness": _class_json(decision.witness) if decision.witness else None,
+    }, [verdict, detail]
 
 
-def cmd_reduce(args) -> int:
-    conics = read_conics(args.path, args.factor_bound)
-    classes = [brauer_class(c) for c in conics]
+def cmd_reduce(args):
+    classes = [brauer_class(c) for c in read_conics(args.path, args.factor_bound)]
     ops, basis = reduce_generators(classes)
     final = replay(classes, ops)
     expected = list(basis.basis) + [BrauerClass()] * (len(classes) - basis.dim)
     if final != expected:
         raise AssertionError("replayed script does not reach the canonical basis")
-    if args.json:
-        _print_json({
-            "command": "reduce",
-            "classes": [_class_json(c) for c in classes],
-            "script": [{"target": op.j, "source": op.i} for op in ops],
-            "dim": basis.dim,
-            "final": [_class_json(c) for c in final],
-        })
-    else:
-        for k, cls in enumerate(classes):
-            print(f"e{k} = {cls}")
-        print("script:")
-        for op in ops:
-            print(f"{op.j} += {op.i}  # C{op.j} <- C{op.i} * C{op.j}")
-        print("final:")
-        for k, cls in enumerate(final):
-            print(f"e{k} = {cls}")
-    return 0
+    lines = [f"e{k} = {cls}" for k, cls in enumerate(classes)]
+    lines.append("script:")
+    lines += [f"{op.j} += {op.i}  # C{op.j} <- C{op.i} * C{op.j}" for op in ops]
+    lines.append("final:")
+    lines += [f"e{k} = {cls}" for k, cls in enumerate(final)]
+    return {
+        "classes": [_class_json(c) for c in classes],
+        "script": [{"target": op.j, "source": op.i} for op in ops],
+        "dim": basis.dim,
+        "final": [_class_json(c) for c in final],
+    }, lines
 
 
-def cmd_ring_eval(args) -> int:
+def cmd_ring_eval(args):
     element = parse_ring_expression(_read_text(args.path), args.factor_bound)
-    if args.json:
-        _print_json({
-            "command": "ring-eval",
-            "terms": [
-                {
-                    "coefficient": coeff,
-                    "basis": [_class_json(cls) for cls in term.group.basis],
-                    "lefschetz": term.lefschetz_power,
-                }
-                for term, coeff in element.terms
-            ],
-        })
-    else:
-        print(render_element(element))
-    return 0
+    terms = [{"coefficient": coeff, "basis": [_class_json(c) for c in term.group.basis],
+              "lefschetz": term.lefschetz_power} for term, coeff in element.terms]
+    return {"terms": terms}, [render_element(element)]
+
+
+#: name -> (handler, positional inputs, what --search-bound bounds (None: no
+#: bounded search, no flag), help, extra defaults for the handler)
+COMMANDS = {
+    "classify": (cmd_classify, ("path",),
+                 "height of the rational point sought on each split conic",
+                 "classify each conic in a file", {}),
+    "product": (cmd_product, ("path",),
+                "absolute value of the coefficients tried for each representative",
+                "canonical form of a product of conics", {}),
+    "equal": (cmd_decide, ("path_a", "path_b"), None,
+              "decide equality of two products in the ring",
+              {"decide": decide_equal_products, "verdicts": ("EQUAL", "NOT_EQUAL")}),
+    "stably-birational": (cmd_decide, ("path_a", "path_b"), None,
+                          "decide stable birationality of two products",
+                          {"decide": decide_stably_birational,
+                           "verdicts": ("STABLY_BIRATIONAL", "NOT_STABLY_BIRATIONAL")}),
+    "reduce": (cmd_reduce, ("path",), None,
+               "transvection script reducing conic classes to a basis", {}),
+    "ring-eval": (cmd_ring_eval, ("path",), None,
+                  "evaluate a ring expression to canonical form", {}),
+}
+
+
+def _positive_int(text: str) -> int:
+    """The type of --factor-bound: trial division needs a bound of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -206,65 +196,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--factor-bound", type=int, default=DEFAULT_FACTOR_BOUND,
+        "--factor-bound", type=_positive_int, default=DEFAULT_FACTOR_BOUND,
         help="trial-division bound for the input coefficients only (default %(default)s)",
-    )
-    common.add_argument(
-        "--search-bound", type=int, default=DEFAULT_SEARCH_BOUND,
-        help="height bound for discriminant/coefficient/point searches (default %(default)s)",
     )
     common.add_argument("--json", action="store_true", help="machine-readable output")
 
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("classify", parents=[common],
-                       help="classify each conic in a file")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("product", parents=[common],
-                       help="canonical form of a product of conics")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_product)
-
-    p = sub.add_parser("equal", parents=[common],
-                       help="decide equality of two products in the ring")
-    p.add_argument("path_a")
-    p.add_argument("path_b")
-    p.set_defaults(func=cmd_decide, decide=decide_equal_products,
-                   verdicts=("EQUAL", "NOT_EQUAL"))
-
-    p = sub.add_parser("stably-birational", parents=[common],
-                       help="decide stable birationality of two products")
-    p.add_argument("path_a")
-    p.add_argument("path_b")
-    p.set_defaults(func=cmd_decide, decide=decide_stably_birational,
-                   verdicts=("STABLY_BIRATIONAL", "NOT_STABLY_BIRATIONAL"))
-
-    p = sub.add_parser("reduce", parents=[common],
-                       help="transvection script reducing conic classes to a basis")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_reduce)
-
-    p = sub.add_parser("ring-eval", parents=[common],
-                       help="evaluate a ring expression to canonical form")
-    p.add_argument("path")
-    p.set_defaults(func=cmd_ring_eval)
-
+    for name, (handler, inputs, searched, help_text, defaults) in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=help_text)
+        if searched:
+            p.add_argument(
+                "--search-bound", type=int, default=DEFAULT_SEARCH_BOUND,
+                help=f"bound on the {searched} (default %(default)s)",
+            )
+        for dest in inputs:
+            p.add_argument(dest)
+        p.set_defaults(func=handler, **defaults)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except (ParseError, InvalidConic) as exc:
+        payload, lines = args.func(args)
+    except (ParseError, InvalidConic, ResourceBoundExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ResourceBoundExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+        return 2 if isinstance(exc, ResourceBoundExceeded) else 1
+    if args.json:
+        print(json.dumps({"command": args.command, **payload}, indent=2))
+    else:
+        for line in lines:
+            print(line)
+    return 0

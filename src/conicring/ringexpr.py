@@ -190,7 +190,11 @@ def parse_ring_expression(
     if not tokens:
         raise ParseError("empty ring expression", 1, 1)
     parser = _Parser(tokens, factor_bound)
-    value = parser.expr()
+    try:
+        value = parser.expr()
+    except RecursionError:
+        tok = tokens[min(parser.pos, len(tokens) - 1)]
+        raise ParseError("expression nested too deeply", tok.line, tok.column) from None
     if (tok := parser.peek()) is not None:
         parser.fail(tok, f"trailing input {tok.text!r}")
     return value

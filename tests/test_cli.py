@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from conicring.cli import build_parser
+
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -146,6 +148,60 @@ class TestExitCodes:
     def test_missing_file_is_exit_one(self):
         result = cli_process("classify", "no_such_file.txt")
         assert is_handled_error(result, 1, b"error: cannot read"), result.stderr.decode()
+
+    def test_non_utf8_file_is_exit_one(self, tmp_path):
+        path = tmp_path / "utf16.txt"
+        path.write_bytes(b"\xff\xfe1 1\n")
+        for command in ("classify", "ring-eval"):
+            result = cli_process(command, str(path))
+            assert is_handled_error(result, 1, b"error: cannot read"), result.stderr.decode()
+
+    def test_non_positive_factor_bound_is_usage_error(self):
+        for args in (("classify", "--factor-bound", "0"), ("reduce", "--factor-bound", "-3")):
+            result = cli_process(*args, "conics_mixed.txt")
+            assert result.returncode == 2, result.stderr.decode()
+            assert b"usage:" in result.stderr and b"argument --factor-bound" in result.stderr
+            assert b"Traceback" not in result.stderr
+
+    def test_deeply_nested_ring_expression_is_exit_one(self, tmp_path):
+        path = tmp_path / "deep.txt"
+        path.write_text("(" * 400 + "P1" + ")" * 400 + "\n")
+        result = cli_process("ring-eval", str(path))
+        message = b"expression nested too deeply"
+        assert is_handled_error(result, 1, message), result.stderr.decode()
+
+
+SUBCOMMAND_ARGS = {
+    "classify": ["f"],
+    "product": ["f"],
+    "equal": ["f", "g"],
+    "stably-birational": ["f", "g"],
+    "reduce": ["f"],
+    "ring-eval": ["f"],
+}
+
+
+class TestFlagTable:
+    """Which flags each subcommand takes, checked on the parser in-process."""
+
+    @pytest.mark.parametrize("command", ["equal", "stably-birational", "reduce", "ring-eval"])
+    def test_search_bound_rejected_where_nothing_searches(self, command):
+        argv = [command, "--search-bound", "5", *SUBCOMMAND_ARGS[command]]
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("command", ["classify", "product"])
+    def test_search_bound_taken_where_a_search_runs(self, command):
+        parser = build_parser()
+        assert parser.parse_args([command, "f"]).search_bound == 10000
+        assert parser.parse_args([command, "--search-bound", "5", "f"]).search_bound == 5
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
+    def test_factor_bound_and_json_everywhere(self, command):
+        argv = [command, "--factor-bound", "7", "--json", *SUBCOMMAND_ARGS[command]]
+        args = build_parser().parse_args(argv)
+        assert (args.command, args.factor_bound, args.json) == (command, 7, True)
 
 
 def test_product_round_trip(tmp_path):

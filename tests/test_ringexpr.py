@@ -79,6 +79,17 @@ class TestParseErrors:
         with pytest.raises(ParseError):
             parse_ring_expression(text)
 
+    @pytest.mark.parametrize("text", ["(" * 400 + "P1" + ")" * 400, "-" * 2000 + "P1"],
+                             ids=["parentheses", "minus-signs"])
+    def test_nested_too_deeply(self, text):
+        with pytest.raises(ParseError, match="nested too deeply") as excinfo:
+            parse_ring_expression(text)
+        assert excinfo.value.line == 1
+        assert 1 < excinfo.value.column < len(text)
+
+    def test_moderate_nesting_evaluates(self):
+        assert evaluate("(" * 150 + "P1" + ")" * 150) == "C(0)[L]^1"
+
     def test_error_carries_position(self):
         with pytest.raises(ParseError) as excinfo:
             parse_ring_expression("P1 +\n@ 3")
