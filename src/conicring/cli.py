@@ -216,7 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        # argparse cannot tell whether an unknown option takes a value, so the
+        # value may have been read as an input path and a path left over
+        # (`equal --search-bound 5 a b`); name the unknown options only.
+        unknown = [arg for arg in extras if arg.startswith("-")] or extras
+        parser.error(f"{args.command}: unrecognized arguments: {' '.join(unknown)}")
     try:
         payload, lines = args.func(args)
     except (ParseError, InvalidConic, ResourceBoundExceeded) as exc:

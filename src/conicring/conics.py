@@ -9,7 +9,10 @@ that set is empty.
 The product of two classes is realized on conics through a common quadratic
 splitting field Q(sqrt(d)): both conics are rewritten as (d, b') and (d, c'),
 and (d, b'c') represents the sum of the classes.  Every bounded search here
-is deterministic (height order) and verified exactly before returning.
+is deterministic (height order) and verified exactly before returning.  The
+search for a conic realizing a given class filters coefficient pairs by their
+local symbols, as bitmasks over the odd primes and the real place, and
+classifies only the pair that passes.
 
 The factor bound applies in one place only: `new_conic`, where input
 rationals are reduced to squarefree integers.  Everything downstream reads
@@ -261,23 +264,79 @@ def brauer_product(
     return product
 
 
+def _symbol_masks(values: list[int], odd: list[int]) -> list[tuple[int, int]]:
+    """Local data of each value at the odd primes and the real place, as bitmasks.
+
+    The values are signed squarefree products of 2 and the primes in `odd`.
+    Bit k < len(odd) stands for odd[k]: it is set in `divides` when odd[k]
+    divides v, and in `nonresidue` when the odd[k]-free part of v is a
+    quadratic nonresidue mod odd[k].  Bit len(odd) stands for the real place,
+    read as the "prime" -1 = 3 mod 4: it is set in `divides` when v < 0 and
+    never in `nonresidue`.  The Legendre symbol is multiplicative, so
+    `nonresidue` is the XOR of the nonresidue bits of -1 and of v's primes.
+    """
+
+    def nonresidue_bits(g: int) -> int:
+        return sum(1 << k for k, p in enumerate(odd) if g % p and legendre(g, p) == -1)
+
+    real = 1 << len(odd)
+    minus = nonresidue_bits(-1)
+    factors = [(2, 0, nonresidue_bits(2))]
+    factors += [(p, 1 << k, nonresidue_bits(p)) for k, p in enumerate(odd)]
+    masks = []
+    for v in values:
+        divides, nonresidue = (real, minus) if v < 0 else (0, 0)
+        for p, bit, chi in factors:
+            if v % p == 0:
+                divides |= bit
+                nonresidue ^= chi
+        masks.append((divides, nonresidue))
+    return masks
+
+
+def _ramified_masks(masks: list[tuple[int, int]], b: tuple[int, int], m3: int) -> list[int]:
+    """For each a in `masks`: the bits of the places where the symbol (a, b) is -1.
+
+    Places and masks are as in `_symbol_masks`; m3 marks the places = 3 mod 4,
+    where (-1/p) = -1.  At an odd prime p with squarefree a, b the symbol is
+    (b/p) when p divides a only, (a/p) when p divides b only, and
+    (-1/p)(a'/p)(b'/p) for the p-free parts a', b' when p divides both; at
+    the real place that last case is -1 exactly when a, b < 0.  Per bit that is
+    (da & ~db & rb) | (db & ~da & ra) | (da & db & (m3 ^ ra ^ rb)), written
+    below with the parts that depend on b alone taken out of the loop.
+    """
+    db, rb = b
+    only_a = rb & ~db
+    both = m3 ^ rb
+    return [(da & only_a) | (db & (ra ^ (da & both))) for da, ra in masks]
+
+
 def conic_from_class(cls: BrauerClass, search_bound: int = DEFAULT_SEARCH_BOUND) -> Conic:
     """A conic realizing a given ramification set, by verified bounded search.
 
     Candidate coefficients are signed squarefree products of the odd primes
     in the set together with 2 and a few small auxiliary primes; pairs are
-    tried in height order and each is checked exactly by classification.
+    tried in height order.  Each pair is filtered by its local symbols at the
+    odd primes in play and the real place, as bitmasks (`_symbol_masks`,
+    `_ramified_masks`); by Hilbert reciprocity a pair that matches the class
+    there matches at 2 as well.  The symbol is symmetric, so of (a, b) and
+    (b, a) only the first in height order is tested.  The one pair that
+    passes is checked exactly by classification before it is returned.
     """
     primes = {p.p for p in cls.places if not p.is_real} | {2, 3, 5, 7, 11, 13}
     values = _signed_subset_products(1, primes, search_bound)
-    for n, vn in enumerate(values):
-        for i in range(n + 1):
-            vi = values[i]
-            pairs = ((vn, vn),) if i == n else ((vi, vn), (vn, vi))
-            for a, b in pairs:
-                candidate = Conic(a, b)
-                if brauer_class(candidate) == cls:
-                    return candidate
+    odd = sorted(primes - {2})
+    real = 1 << len(odd)
+    target = sum(real if v.is_real else 1 << odd.index(v.p) for v in cls.places if v.p != 2)
+    m3 = real | sum(1 << k for k, p in enumerate(odd) if p % 4 == 3)
+    masks = _symbol_masks(values, odd)
+    for n, b in enumerate(masks):
+        ramified = _ramified_masks(masks[: n + 1], b, m3)
+        if target in ramified:
+            candidate = Conic(values[ramified.index(target)], values[n])
+            if brauer_class(candidate) != cls:
+                raise AssertionError(f"{candidate} passed the local filter for {cls}")
+            return candidate
     raise SearchBoundExceeded(
         f"no conic with coefficients <= {search_bound} realizes {cls}"
     )

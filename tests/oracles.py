@@ -2,18 +2,21 @@
 
 These deliberately avoid the code paths they check: the Legendre oracle
 squares every residue, the local solvability oracle enumerates solutions
-modulo prime powers on a numpy grid, and the span oracles enumerate all
-subset sums of a generating collection.
+modulo prime powers on a numpy grid, the span oracles enumerate all
+subset sums of a generating collection, and the representative oracle
+classifies every coefficient pair it tries instead of filtering pairs by
+local symbols.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from itertools import combinations
 
 import numpy as np
 
-from conicring import BrauerClass, Place
+from conicring import BrauerClass, Conic, Place, SearchBoundExceeded, brauer_class
 
 
 def brute_legendre(a: int, p: int) -> int:
@@ -67,3 +70,27 @@ def subset_sums(classes) -> set[BrauerClass]:
 def span_dim(classes) -> int:
     """F2 rank via the size of the set of subset sums (2**rank)."""
     return len(subset_sums(classes)).bit_length() - 1
+
+
+def first_realizing_pair(cls: BrauerClass, bound: int) -> Conic:
+    """`conic_from_class` by classifying every pair it tries.
+
+    The candidates are +-prod(S) <= bound for subsets S of the odd primes of
+    the class, 2, 3, 5, 7, 11 and 13, in height order (positive first); for
+    each new value v_n the pairs (v_i, v_n) and (v_n, v_i), i <= n, are
+    classified in turn and the first one with class `cls` is returned.
+    """
+    primes = sorted({v.p for v in cls.places if not v.is_real} | {2, 3, 5, 7, 11, 13})
+    values = []
+    for size in range(len(primes) + 1):
+        for combo in combinations(primes, size):
+            v = math.prod(combo)
+            if v <= bound:
+                values += [v, -v]
+    values.sort(key=lambda v: (abs(v), v < 0))
+    for n, vn in enumerate(values):
+        for vi in values[: n + 1]:
+            for a, b in [(vi, vn)] if vi == vn else [(vi, vn), (vn, vi)]:
+                if brauer_class(Conic(a, b)) == cls:
+                    return Conic(a, b)
+    raise SearchBoundExceeded(f"no conic with coefficients <= {bound} realizes {cls}")

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conicring.cli import build_parser
+from conicring.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -182,14 +182,18 @@ SUBCOMMAND_ARGS = {
 
 
 class TestFlagTable:
-    """Which flags each subcommand takes, checked on the parser in-process."""
+    """Which flags each subcommand takes, checked in-process."""
 
     @pytest.mark.parametrize("command", ["equal", "stably-birational", "reduce", "ring-eval"])
-    def test_search_bound_rejected_where_nothing_searches(self, command):
+    def test_search_bound_rejected_where_nothing_searches(self, command, capsys):
+        """The usage error names the subcommand and the flag, not an input path."""
         argv = [command, "--search-bound", "5", *SUBCOMMAND_ARGS[command]]
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(argv)
+            main(argv)
         assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: {command}: unrecognized arguments: --search-bound\n")
+        assert not set(SUBCOMMAND_ARGS[command]) & set(err.split())
 
     @pytest.mark.parametrize("command", ["classify", "product"])
     def test_search_bound_taken_where_a_search_runs(self, command):

@@ -1,4 +1,9 @@
+import itertools
+import math
+import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -28,8 +33,9 @@ from conicring import (
     sqrt_of,
 )
 
+from conicring.conics import _ramification, _ramified_masks, _symbol_masks
 from conftest import conics, small_rationals
-from oracles import brute_legendre, local_solvable
+from oracles import brute_legendre, first_realizing_pair, local_solvable
 
 C_SPLIT = new_conic(1, 1)
 C_II = new_conic(-1, -1)
@@ -428,3 +434,71 @@ class TestConicFromClass:
     def test_round_trip(self, conic):
         cls = brauer_class(conic)
         assert brauer_class(conic_from_class(cls, search_bound=10**5)) == cls
+
+
+def _bench_product_classes():
+    """Every basis class of the spans of the benchmark's `product` deck files."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    sys.path.insert(0, str(bench))
+    try:
+        import workloads
+        from checks import INF, span_basis
+    finally:
+        sys.path.remove(str(bench))
+    pool = workloads.product_pool()
+    deck_rng = random.Random("product-deck")
+    deck = [workloads._product_files(deck_rng, pool) for _ in range(workloads.PRODUCT_DECK)]
+    classes = {frozenset(c) for f in deck for c in span_basis(c.cls for c in f)}
+    return sorted(BrauerClass(Place(None if p == INF else p) for p in c) for c in classes)
+
+
+class TestLocalSymbolFilter:
+    """conic_from_class against the classify-every-pair reference search."""
+
+    def test_every_even_class_over_small_places(self):
+        places = [Place.finite(p) for p in (2, 3, 5, 7, 11, 13)] + [Place.real()]
+        classes = [BrauerClass(c) for r in range(0, len(places) + 1, 2)
+                   for c in itertools.combinations(places, r)]
+        assert len(classes) == 64
+        for cls in classes:
+            assert conic_from_class(cls, 1000) == first_realizing_pair(cls, 1000), cls
+
+    def test_bench_product_classes(self):
+        classes = _bench_product_classes()
+        assert len(classes) > 100
+        for cls in classes:
+            assert conic_from_class(cls, 1000) == first_realizing_pair(cls, 1000), cls
+
+    def test_both_exceed_the_bound(self):
+        cls = BrauerClass(Place.finite(p) for p in (101, 103, 107, 109))
+        for search in (conic_from_class, first_realizing_pair):
+            with pytest.raises(SearchBoundExceeded) as excinfo:
+                search(cls, 1000)
+            assert str(excinfo.value) == (
+                "no conic with coefficients <= 1000 realizes {101,103,107,109}")
+
+    def test_masks_match_classification(self):
+        """Every pair of signed squarefree products over 2..19 up to 3000."""
+        primes = (2, 3, 5, 7, 11, 13, 17, 19)
+        values = sorted(
+            s * math.prod(c) for r in range(len(primes) + 1)
+            for c in itertools.combinations(primes, r) if math.prod(c) <= 3000
+            for s in (1, -1)
+        )
+        assert len(values) ** 2 == 63504
+        odd = list(primes[1:])
+        real = 1 << len(odd)
+        m3 = real | sum(1 << k for k, p in enumerate(odd) if p % 4 == 3)
+        masks = _symbol_masks(values, odd)
+        for b, b_masks in zip(values, masks):
+            for a, got in zip(values, _ramified_masks(masks, b_masks, m3)):
+                places = brauer_class(Conic(a, b)).places
+                expected = sum(real if v.is_real else 1 << odd.index(v.p)
+                               for v in places if v.p != 2)
+                assert got == expected, (a, b)
+
+    def test_one_class_cache_entry_per_search(self):
+        cls = BrauerClass([Place.finite(2), Place.finite(1009)])
+        before = _ramification.cache_info().currsize
+        assert brauer_class(conic_from_class(cls)) == cls
+        assert _ramification.cache_info().currsize - before <= 1
