@@ -15,24 +15,23 @@ a class's place set against the basis directly.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .numtheory import Place
+from .value import Value
 
 
 @functools.total_ordering
-@dataclass(frozen=True)
-class BrauerClass:
+class BrauerClass(Value):
     """A 2-torsion Brauer class, i.e. an even finite set of places."""
 
-    places: tuple[Place, ...]
+    __slots__ = ("places",)  # a sorted tuple of places
 
     def __init__(self, places: Iterable[Place] = ()):
         normalized = tuple(sorted(set(places)))
         if len(normalized) % 2:
             raise ValueError(f"ramification set must have even size: {normalized}")
-        object.__setattr__(self, "places", normalized)
+        self._init(normalized)
 
     @property
     def is_trivial(self) -> bool:
@@ -57,8 +56,7 @@ def class_add(x: BrauerClass, y: BrauerClass) -> BrauerClass:
 
 
 @functools.total_ordering
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Value):
     """A finite F2-subspace of classes in canonical reduced echelon form.
 
     The pivot of a basis class is its smallest place.  Canonical form means
@@ -67,7 +65,7 @@ class Subgroup:
     and equality/hashing are structural.
     """
 
-    basis: tuple[BrauerClass, ...]
+    __slots__ = ("basis",)  # a tuple of classes
 
     def __init__(self, basis: Iterable[BrauerClass] = ()):
         basis = tuple(basis)
@@ -82,7 +80,7 @@ class Subgroup:
             for j, pivot in enumerate(pivots):
                 if i != j and pivot in cls.places:
                     raise ValueError("pivot place ramified in another basis class")
-        object.__setattr__(self, "basis", basis)
+        self._init(basis)
 
     @property
     def dim(self) -> int:
@@ -187,18 +185,17 @@ def subgroup_leq(g1: Subgroup, g2: Subgroup) -> bool:
     return all(contains(g2, cls) for cls in g1.basis)
 
 
-@dataclass(frozen=True)
-class TransvectionOp:
+class TransvectionOp(Value):
     """The elementary move e[j] <- e[i] + e[j] on a list of classes."""
 
-    i: int
-    j: int
+    __slots__ = ("i", "j")
 
-    def __post_init__(self):
-        if self.i == self.j:
+    def __init__(self, i: int, j: int):
+        if i == j:
             raise ValueError("transvection needs distinct indices")
-        if self.i < 0 or self.j < 0:
+        if i < 0 or j < 0:
             raise ValueError("transvection indices must be nonnegative")
+        self._init(i, j)
 
 
 def replay(classes: Sequence[BrauerClass], ops: Iterable[TransvectionOp]) -> list[BrauerClass]:

@@ -11,7 +11,6 @@ exceeded.  Output is deterministic: identical inputs give identical bytes.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from pathlib import Path
@@ -230,6 +229,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ResourceBoundExceeded) else 1
     if args.json:
+        import json
         print(json.dumps({"command": args.command, **payload}, indent=2))
     else:
         for line in lines:

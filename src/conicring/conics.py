@@ -24,9 +24,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 from .brauer import BrauerClass, class_add
 from .errors import InvalidConic, SearchBoundExceeded
@@ -39,23 +38,23 @@ from .numtheory import (
     legendre,
     squarefree_part,
 )
+from .value import Value
 
 DEFAULT_SEARCH_BOUND = 10**4
 
 
-@dataclass(frozen=True)
-class Conic:
+class Conic(Value):
     """Diagonal conic x1^2 - a*x2^2 - b*x3^2 = 0 with squarefree a, b."""
 
-    a: int
-    b: int
+    __slots__ = ("a", "b")
 
-    def __post_init__(self):
-        for c in (self.a, self.b):
+    def __init__(self, a: int, b: int):
+        for c in (a, b):
             if c == 0:
                 raise InvalidConic("coefficients of a smooth conic must be nonzero")
             if not _squarefree_small(abs(c)):
                 raise InvalidConic(f"{c} is not squarefree; construct via new_conic")
+        self._init(a, b)
 
     def __str__(self) -> str:
         return f"Conic({self.a},{self.b})"
@@ -342,8 +341,7 @@ def conic_from_class(cls: BrauerClass, search_bound: int = DEFAULT_SEARCH_BOUND)
     )
 
 
-@dataclass(frozen=True)
-class QuadExtElem:
+class QuadExtElem(Value):
     """An element u + v*sqrt(d) of Q(sqrt(d)), d a squarefree nonzero integer.
 
     Rational elements are normalized to d = 1 with v = 0, so equality is
@@ -351,9 +349,7 @@ class QuadExtElem:
     combined.
     """
 
-    d: int
-    u: Fraction
-    v: Fraction
+    __slots__ = ("d", "u", "v")  # int, Fraction, Fraction
 
     def __init__(self, d: int, u, v=0):
         if d == 0 or not _squarefree_small(abs(d)):
@@ -363,9 +359,7 @@ class QuadExtElem:
             u, v = u + v, Fraction(0)
         elif v == 0:
             d = 1
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        self._init(d, u, v)
 
     @property
     def is_zero(self) -> bool:
@@ -439,11 +433,10 @@ def phi_forward(
     return (x1 * y1 + a * (x2 * y2), x1 * y2 + x2 * y1, x3 * y3)
 
 
-@dataclass(frozen=True, eq=False)
-class ProjPoint:
+class ProjPoint(Value):
     """A projective point with coordinates in a common Q(sqrt(d))."""
 
-    coords: tuple[QuadExtElem, QuadExtElem, QuadExtElem]
+    __slots__ = ("coords",)  # a tuple of three QuadExtElem
 
     def __init__(self, coords: Iterable):
         coords = tuple(_as_quad(c) for c in coords)
@@ -457,7 +450,7 @@ class ProjPoint:
                 if d != 1 and c.d != d:
                     raise ValueError("coordinates over different discriminants")
                 d = c.d
-        object.__setattr__(self, "coords", coords)
+        self._init(coords)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ProjPoint):

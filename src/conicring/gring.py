@@ -15,8 +15,7 @@ so ring equality is structural.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 from .brauer import (
     TRIVIAL_SUBGROUP,
@@ -29,19 +28,19 @@ from .brauer import (
 )
 from .conics import Conic, brauer_class
 from .errors import ZeroElement
+from .value import Value
 
 
 @functools.total_ordering
-@dataclass(frozen=True)
-class Term:
+class Term(Value):
     """A basis element C(G) * [P^1]^m of the free abelian group."""
 
-    group: Subgroup
-    lefschetz_power: int
+    __slots__ = ("group", "lefschetz_power")
 
-    def __post_init__(self):
-        if self.lefschetz_power < 0:
+    def __init__(self, group: Subgroup, lefschetz_power: int):
+        if lefschetz_power < 0:
             raise ValueError("lefschetz power must be nonnegative")
+        self._init(group, lefschetz_power)
 
     def sort_key(self):
         return (self.group.sort_key(), self.lefschetz_power)
@@ -66,11 +65,10 @@ def term_mul(t1: Term, t2: Term) -> Term:
     return Term(joined, power)
 
 
-@dataclass(frozen=True)
-class RingElement:
+class RingElement(Value):
     """A finite integer combination of terms; immutable, structurally equal."""
 
-    terms: tuple[tuple[Term, int], ...]
+    __slots__ = ("terms",)  # a sorted tuple of (Term, nonzero int) pairs
 
     def __init__(self, terms: Mapping[Term, int] | Iterable[tuple[Term, int]] = ()):
         acc: dict[Term, int] = {}
@@ -80,7 +78,7 @@ class RingElement:
         normalized = tuple(
             (t, c) for t, c in sorted(acc.items(), key=lambda tc: tc[0].sort_key()) if c
         )
-        object.__setattr__(self, "terms", normalized)
+        self._init(normalized)
 
     @classmethod
     def zero(cls) -> "RingElement":
@@ -172,14 +170,13 @@ def power_coefficient_check(x: RingElement, s: int) -> bool:
     return (x ** s).coefficient(target) == gamma ** s
 
 
-@dataclass(frozen=True)
-class ConicProduct:
+class ConicProduct(Value):
     """A finite list of conic factors; the empty product is Spec Q."""
 
-    factors: tuple[Conic, ...]
+    __slots__ = ("factors",)  # a tuple of conics
 
     def __init__(self, factors: Iterable[Conic] = ()):
-        object.__setattr__(self, "factors", tuple(factors))
+        self._init(tuple(factors))
 
     def __len__(self) -> int:
         return len(self.factors)
@@ -198,15 +195,14 @@ def from_conic_product(product: ConicProduct) -> RingElement:
     return RingElement({Term(group, m): 1})
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(Value):
     """Outcome of an equivalence decision, with a machine-readable reason."""
 
-    equivalent: bool
-    reason: str
-    size_left: int
-    size_right: int
-    witness: BrauerClass | None = None
+    __slots__ = ("equivalent", "reason", "size_left", "size_right", "witness")
+
+    def __init__(self, equivalent: bool, reason: str, size_left: int, size_right: int,
+                 witness: BrauerClass | None = None):
+        self._init(equivalent, reason, size_left, size_right, witness)
 
 
 def _span_witness(g1: Subgroup, g2: Subgroup) -> BrauerClass | None:
@@ -226,7 +222,7 @@ def decide_equal_products(left: ConicProduct, right: ConicProduct) -> Decision:
     if len(left) != len(right):
         return Decision(False, "size-mismatch", len(left), len(right))
     if decision.equivalent:
-        return replace(decision, reason="size-and-span-match")
+        return Decision(True, "size-and-span-match", len(left), len(right))
     return decision
 
 

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import functools
 import re
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
 
 from .errors import FactorBoundExceeded, ParseError
+from .value import Value
 
 #: The coefficient field of every conic: exact arbitrary-precision fractions.
 Rational = Fraction
@@ -32,9 +33,14 @@ def parse_rational(text: str) -> Fraction:
     if not _RATIONAL_RE.fullmatch(text):
         raise ParseError(f"not a rational number: {text!r}")
     num, slash, den = text.partition("/")
-    if slash and int(den) == 0:
+    try:
+        numerator, denominator = int(num), int(den) if slash else 1
+    except ValueError:  # a part is longer than Python's int-string limit
+        digits, limit = max(len(num.lstrip("+-")), len(den)), sys.get_int_max_str_digits()
+        raise ParseError(f"number has {digits} digits, more than the limit of {limit}") from None
+    if denominator == 0:
         raise ParseError(f"zero denominator: {text!r}")
-    return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    return Fraction(numerator, denominator)
 
 
 def is_prime(n: int) -> bool:
@@ -109,18 +115,18 @@ def legendre(a: int, p: int) -> int:
 
 
 @functools.total_ordering
-@dataclass(frozen=True)
-class Place:
+class Place(Value):
     """A place of Q: a finite prime p, or the real place (p is None).
 
     The canonical total order is 2 < 3 < 5 < ... < real.
     """
 
-    p: int | None
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if self.p is not None and not is_prime(self.p):
-            raise ValueError(f"{self.p} is not prime")
+    def __init__(self, p: int | None):
+        if p is not None and not is_prime(p):
+            raise ValueError(f"{p} is not prime")
+        self._init(p)
 
     @classmethod
     def finite(cls, p: int) -> "Place":

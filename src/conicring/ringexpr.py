@@ -14,23 +14,22 @@ expression.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .conics import new_conic
 from .errors import ParseError
 from .gring import IDENTITY_TERM, ConicProduct, RingElement, from_conic_product
 from .numtheory import DEFAULT_FACTOR_BOUND, parse_rational
+from .value import Value
 
 _PUNCT = "()[],+-*^"
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number", "name", or one of _PUNCT
-    text: str
-    line: int
-    column: int
+class _Token(Value):
+    __slots__ = ("kind", "text", "line", "column")  # kind: "number", "name", or one of _PUNCT
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        self._init(kind, text, line, column)
 
 
 def _tokenize(document: str) -> list[_Token]:
@@ -90,6 +89,17 @@ class _Parser:
     def fail(self, tok: _Token, message: str):
         raise ParseError(message, tok.line, tok.column)
 
+    def number(self, tok: _Token) -> Fraction:
+        try:
+            return parse_rational(tok.text)
+        except ParseError as exc:
+            raise ParseError(str(exc), tok.line, tok.column) from None
+
+    def integer(self, tok: _Token, fraction_message: str) -> int:
+        if "/" in tok.text:
+            self.fail(tok, fraction_message)
+        return self.number(tok).numerator
+
     # expr := term (('+'|'-') term)*
     def expr(self) -> RingElement:
         value = self.term()
@@ -113,9 +123,7 @@ class _Parser:
         if (tok := self.peek()) is not None and tok.kind == "^":
             self.next()
             exp_tok = self.expect("number")
-            if "/" in exp_tok.text:
-                self.fail(exp_tok, "exponent must be a nonnegative integer")
-            value = value ** int(exp_tok.text)
+            value = value ** self.integer(exp_tok, "exponent must be a nonnegative integer")
         return value
 
     def unary(self) -> RingElement:
@@ -127,9 +135,7 @@ class _Parser:
     def atom(self) -> RingElement:
         tok = self.next()
         if tok.kind == "number":
-            if "/" in tok.text:
-                self.fail(tok, "ring coefficients must be integers")
-            n = int(tok.text)
+            n = self.integer(tok, "ring coefficients must be integers")
             return RingElement({IDENTITY_TERM: n}) if n else RingElement.zero()
         if tok.kind == "name":
             if tok.text == "P1":
@@ -176,10 +182,7 @@ class _Parser:
             tok = self.next()
         if tok.kind != "number":
             self.fail(tok, f"expected a rational, got {tok.text!r}")
-        try:
-            return sign * parse_rational(tok.text)
-        except ParseError as exc:
-            raise ParseError(str(exc), tok.line, tok.column) from None
+        return sign * self.number(tok)
 
 
 def parse_ring_expression(

@@ -92,6 +92,17 @@ def test_byte_identical_reruns():
         assert run_cli(*args) == run_cli(*args)
 
 
+def test_cli_import_skips_dataclasses_inspect_json_and_typing():
+    """Start-up imports only what every run needs; ``-S`` keeps ``site`` out of the count."""
+    code = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r}); import conicring.cli; "
+        "print(*sorted({'dataclasses', 'inspect', 'json', 'typing'} & set(sys.modules)))"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True)
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout.split() == []
+
+
 class TestExitCodes:
     def test_degenerate_conic_is_exit_one(self):
         result = cli_process("classify", "malformed_zero.txt")
@@ -168,6 +179,21 @@ class TestExitCodes:
         path.write_text("(" * 400 + "P1" + ")" * 400 + "\n")
         result = cli_process("ring-eval", str(path))
         message = b"expression nested too deeply"
+        assert is_handled_error(result, 1, message), result.stderr.decode()
+
+    @pytest.mark.parametrize("command,text,location", [
+        ("classify", "{n} 3\n", b"line 1, column 1"),
+        ("classify", "-1 1/{n}\n", b"line 1, column 4"),
+        ("ring-eval", "[({n},3)]\n", b"line 1, column 3"),
+        ("ring-eval", "[(-1,-1)]^{n}\n", b"line 1, column 11"),
+        ("ring-eval", "P1 + {n}\n", b"line 1, column 6"),
+    ])
+    def test_number_past_int_string_limit_is_exit_one(self, tmp_path, command, text, location):
+        """A 5,000-digit number exceeds Python's default int-string limit of 4,300 digits."""
+        path = tmp_path / "long.txt"
+        path.write_text(text.format(n="7" * 5000))
+        result = cli_process(command, str(path))
+        message = b"error: " + location + b": number has 5000 digits, more than the limit of 4300"
         assert is_handled_error(result, 1, message), result.stderr.decode()
 
 
