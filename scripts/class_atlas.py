@@ -13,15 +13,11 @@ from __future__ import annotations
 import argparse
 from collections import defaultdict
 
-from conicring import Conic, brauer_class, rational_point
+from conicring import Conic, brauer_class, rational_point, squarefree_part
 
 
 def squarefree_values(height: int) -> list[int]:
-    values = []
-    for n in range(1, height + 1):
-        if all(n % (d * d) for d in range(2, n)):
-            values.extend((n, -n))
-    return sorted(values, key=lambda v: (abs(v), v < 0))
+    return [v for n in range(1, height + 1) if squarefree_part(n) == n for v in (n, -n)]
 
 
 def build_atlas(height: int) -> dict:

@@ -55,7 +55,6 @@ def class_add(x: BrauerClass, y: BrauerClass) -> BrauerClass:
     return BrauerClass(set(x.places) ^ set(y.places))
 
 
-@functools.total_ordering
 class Subgroup(Value):
     """A finite F2-subspace of classes in canonical reduced echelon form.
 
@@ -93,9 +92,6 @@ class Subgroup(Value):
     def sort_key(self):
         return (self.dim, self.basis)
 
-    def __lt__(self, other: "Subgroup") -> bool:
-        return self.sort_key() < other.sort_key()
-
     def __str__(self) -> str:
         return "<" + ",".join(str(c) for c in self.basis) + ">"
 
@@ -104,17 +100,6 @@ class Subgroup(Value):
 
 
 TRIVIAL_SUBGROUP = Subgroup()
-
-
-def _ambient(classes: Iterable[BrauerClass]) -> list[Place]:
-    return sorted({p for cls in classes for p in cls.places})
-
-
-def _to_bits(cls: BrauerClass, index: dict[Place, int]) -> int:
-    bits = 0
-    for p in cls.places:
-        bits |= 1 << index[p]
-    return bits
 
 
 def _from_bits(bits: int, places: Sequence[Place]) -> BrauerClass:
@@ -150,9 +135,10 @@ def _rref(rows: list[int], n_cols: int) -> tuple[int, list[tuple[int, int]]]:
 
 
 def _bit_rows(classes: Sequence[BrauerClass]) -> tuple[list[Place], list[int]]:
-    places = _ambient(classes)
-    index = {p: i for i, p in enumerate(places)}
-    return places, [_to_bits(c, index) for c in classes]
+    """The places in play, ascending, and each class as a row of bits over them."""
+    places = sorted({p for cls in classes for p in cls.places})
+    index = {p: 1 << i for i, p in enumerate(places)}
+    return places, [sum(index[p] for p in cls.places) for cls in classes]
 
 
 def span(classes: Iterable[BrauerClass]) -> Subgroup:

@@ -24,7 +24,7 @@ from .conics import (
     new_conic,
     rational_point,
 )
-from .errors import InvalidConic, ParseError, ResourceBoundExceeded
+from .errors import InvalidConic, ParseError, ResourceBoundExceeded, SearchBoundExceeded
 from .gring import (
     ConicProduct,
     canonical_of_product,
@@ -57,12 +57,7 @@ def read_conics(path: str, factor_bound: int) -> list[Conic]:
             raise ParseError(
                 f"expected two rationals, got {len(tokens)} token(s)", lineno, 1
             )
-        values = []
-        for tok in tokens:
-            try:
-                values.append(parse_rational(tok.group()))
-            except ParseError as exc:
-                raise ParseError(str(exc), lineno, tok.start() + 1) from None
+        values = [parse_rational(tok.group(), lineno, tok.start() + 1) for tok in tokens]
         try:
             conics.append(new_conic(values[0], values[1], factor_bound))
         except InvalidConic as exc:
@@ -93,9 +88,21 @@ def cmd_classify(args):
     return {"conics": conics}, lines
 
 
+def _representative(cls: BrauerClass, factors: list[Conic], search_bound: int) -> Conic:
+    """`conic_from_class`, or else the first input factor whose class is `cls`."""
+    try:
+        return conic_from_class(cls, search_bound)
+    except SearchBoundExceeded:
+        found = next((c for c in factors if brauer_class(c) == cls), None)
+        if found is None:
+            raise
+        return found
+
+
 def cmd_product(args):
-    m, group = canonical_of_product(ConicProduct(read_conics(args.path, args.factor_bound)))
-    reps = [conic_from_class(cls, args.search_bound) for cls in group.basis]
+    factors = read_conics(args.path, args.factor_bound)
+    m, group = canonical_of_product(ConicProduct(factors))
+    reps = [_representative(cls, factors, args.search_bound) for cls in group.basis]
     basis_text = ", ".join(str(cls) for cls in group.basis)
     lines = [f"m={m}, dim G={group.dim}, basis [{basis_text}]"]
     lines += [f"representative {cls}: {rep.text_form()}" for cls, rep in zip(group.basis, reps)]
@@ -149,6 +156,16 @@ def cmd_reduce(args):
 
 def cmd_ring_eval(args):
     element = parse_ring_expression(_read_text(args.path), args.factor_bound)
+    limit = sys.get_int_max_str_digits()
+    # 10**limit exceeds 8**limit, so a coefficient of at most 3*limit bits is
+    # below it; only a longer one pays for computing 10**limit.
+    if limit and any(
+        coeff.bit_length() > 3 * limit and abs(coeff) >= 10**limit for _, coeff in element.terms
+    ):
+        raise ResourceBoundExceeded(
+            f"a coefficient of the result has more than {limit} digits, "
+            f"Python's int-string limit"
+        )
     terms = [{"coefficient": coeff, "basis": [_class_json(c) for c in term.group.basis],
               "lefschetz": term.lefschetz_power} for term, coeff in element.terms]
     return {"terms": terms}, [render_element(element)]

@@ -84,8 +84,9 @@ def new_conic(a, b, factor_bound: int = DEFAULT_FACTOR_BOUND) -> Conic:
 
 @functools.lru_cache(maxsize=None)
 def _ramification(a: int, b: int) -> BrauerClass:
-    # Conic.__post_init__ has already trial-divided a and b up to their square
-    # roots, so factoring them in full costs no more than construction did.
+    # Conic.__init__ has already trial-divided a and b up to their square
+    # roots (`_squarefree_small`), so factoring them in full costs no more
+    # than construction did.
     ramified = [
         v for v in candidate_places(a, b, max(abs(a), abs(b)))
         if hilbert_symbol(a, b, v) == -1

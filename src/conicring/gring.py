@@ -14,7 +14,6 @@ so ring equality is structural.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Iterable, Mapping
 
 from .brauer import (
@@ -31,7 +30,6 @@ from .errors import ZeroElement
 from .value import Value
 
 
-@functools.total_ordering
 class Term(Value):
     """A basis element C(G) * [P^1]^m of the free abelian group."""
 
@@ -44,9 +42,6 @@ class Term(Value):
 
     def sort_key(self):
         return (self.group.sort_key(), self.lefschetz_power)
-
-    def __lt__(self, other: "Term") -> bool:
-        return self.sort_key() < other.sort_key()
 
 
 IDENTITY_TERM = Term(TRIVIAL_SUBGROUP, 0)

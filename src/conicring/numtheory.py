@@ -13,6 +13,7 @@ parts at 2, so they are exact on arguments of any size.
 from __future__ import annotations
 
 import functools
+import math
 import re
 import sys
 from fractions import Fraction
@@ -28,35 +29,31 @@ DEFAULT_FACTOR_BOUND = 10**6
 _RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse the restricted rational syntax: optional sign, integer, optional /positive-integer."""
+def parse_rational(text: str, line: int | None = None, column: int | None = None) -> Fraction:
+    """Parse the restricted rational syntax: optional sign, integer, optional /positive-integer.
+
+    `line` and `column` give the position of `text` in its document; every
+    ParseError raised carries them.
+    """
     if not _RATIONAL_RE.fullmatch(text):
-        raise ParseError(f"not a rational number: {text!r}")
+        raise ParseError(f"not a rational number: {text!r}", line, column)
     num, slash, den = text.partition("/")
     try:
         numerator, denominator = int(num), int(den) if slash else 1
     except ValueError:  # a part is longer than Python's int-string limit
         digits, limit = max(len(num.lstrip("+-")), len(den)), sys.get_int_max_str_digits()
-        raise ParseError(f"number has {digits} digits, more than the limit of {limit}") from None
+        raise ParseError(
+            f"number has {digits} digits, more than the limit of {limit}", line, column
+        ) from None
     if denominator == 0:
-        raise ParseError(f"zero denominator: {text!r}")
+        raise ParseError(f"zero denominator: {text!r}", line, column)
     return Fraction(numerator, denominator)
 
 
 def is_prime(n: int) -> bool:
     """Primality by trial division; intended for desk-scale inputs."""
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    # The bound's square exceeds n, so `factor` certifies any cofactor left.
+    return n > 1 and factor(n, math.isqrt(n) + 1)[1] == {n: 1}
 
 
 def factor(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> tuple[int, dict[int, int]]:
@@ -140,11 +137,8 @@ class Place(Value):
     def is_real(self) -> bool:
         return self.p is None
 
-    def _key(self) -> tuple[int, int]:
-        return (1, 0) if self.p is None else (0, self.p)
-
     def __lt__(self, other: "Place") -> bool:
-        return self._key() < other._key()
+        return self.p is not None and (other.p is None or self.p < other.p)
 
     def __str__(self) -> str:
         return "inf" if self.p is None else str(self.p)

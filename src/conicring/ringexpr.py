@@ -89,16 +89,10 @@ class _Parser:
     def fail(self, tok: _Token, message: str):
         raise ParseError(message, tok.line, tok.column)
 
-    def number(self, tok: _Token) -> Fraction:
-        try:
-            return parse_rational(tok.text)
-        except ParseError as exc:
-            raise ParseError(str(exc), tok.line, tok.column) from None
-
     def integer(self, tok: _Token, fraction_message: str) -> int:
         if "/" in tok.text:
             self.fail(tok, fraction_message)
-        return self.number(tok).numerator
+        return parse_rational(tok.text, tok.line, tok.column).numerator
 
     # expr := term (('+'|'-') term)*
     def expr(self) -> RingElement:
@@ -182,7 +176,7 @@ class _Parser:
             tok = self.next()
         if tok.kind != "number":
             self.fail(tok, f"expected a rational, got {tok.text!r}")
-        return sign * self.number(tok)
+        return sign * parse_rational(tok.text, tok.line, tok.column)
 
 
 def parse_ring_expression(

@@ -1,11 +1,11 @@
 """Independent reference implementations used to pin expected test values.
 
-These deliberately avoid the code paths they check: the Legendre oracle
-squares every residue, the local solvability oracle enumerates solutions
-modulo prime powers on a numpy grid, the span oracles enumerate all
-subset sums of a generating collection, and the representative oracle
-classifies every coefficient pair it tries instead of filtering pairs by
-local symbols.
+These deliberately avoid the code paths they check: the primality oracle
+tries every divisor, the Legendre oracle squares every residue, the local
+solvability oracle enumerates solutions modulo prime powers on a numpy
+grid, the span oracles enumerate all subset sums of a generating
+collection, and the representative oracle classifies every coefficient
+pair it tries instead of filtering pairs by local symbols.
 """
 
 from __future__ import annotations
@@ -17,6 +17,11 @@ from itertools import combinations
 import numpy as np
 
 from conicring import BrauerClass, Conic, Place, SearchBoundExceeded, brauer_class
+
+
+def brute_is_prime(n: int) -> bool:
+    """Primality by trying every divisor 2..n-1."""
+    return n > 1 and all(n % d for d in range(2, n))
 
 
 def brute_legendre(a: int, p: int) -> int:

@@ -197,6 +197,35 @@ class TestExitCodes:
         assert is_handled_error(result, 1, message), result.stderr.decode()
 
 
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    def test_huge_ring_coefficient_is_exit_two(self, tmp_path, flags):
+        """2^20000 has 6,021 digits, past Python's default int-string limit of 4,300."""
+        path = tmp_path / "huge.txt"
+        path.write_text("2^20000\n")
+        result = cli_process("ring-eval", *flags, str(path))
+        message = b"error: a coefficient of the result has more than 4300 digits"
+        assert is_handled_error(result, 2, message), result.stderr.decode()
+        assert result.stdout == b""
+
+    def test_ring_coefficient_at_the_int_string_limit(self, tmp_path, capsys):
+        """10^4299 has 4,300 digits and renders; 10^4300 has one more and does not."""
+        path = tmp_path / "expr.txt"
+        path.write_text("10^4299\n")
+        assert main(["ring-eval", str(path)]) == 0
+        assert capsys.readouterr().out == "1" + "0" * 4299 + "*C(0)\n"
+        path.write_text("10^4300\n")
+        assert main(["ring-eval", str(path)]) == 2
+        assert "more than 4300 digits" in capsys.readouterr().err
+
+    def test_product_basis_class_realized_by_no_factor_is_exit_two(self, tmp_path):
+        """The span's basis is [{10007,inf}, {10039,inf}]; no factor has the second class."""
+        path = tmp_path / "conics.txt"
+        path.write_text("-1 -10007\n10007 -10039\n")
+        result = cli_process("product", str(path))
+        message = b"error: no conic with coefficients <= 10000 realizes {10039,inf}"
+        assert is_handled_error(result, 2, message), result.stderr.decode()
+
+
 SUBCOMMAND_ARGS = {
     "classify": ["f"],
     "product": ["f"],
@@ -245,3 +274,13 @@ def test_product_round_trip(tmp_path):
     assert payload2["m"] == payload["m"]
     assert payload2["dim"] == payload["dim"]
     assert payload2["basis"] == payload["basis"]
+
+
+def test_product_representative_falls_back_to_an_input_factor(tmp_path):
+    """No coefficient pair within the search bound realizes {10007,inf}; the input conic does."""
+    path = tmp_path / "conic.txt"
+    path.write_text("-1 -10007\n")
+    expected = b"m=0, dim G=1, basis [{10007,inf}]\nrepresentative {10007,inf}: -1 -10007\n"
+    assert run_cli("product", str(path)) == expected
+    payload = json.loads(run_cli("product", "--json", str(path)))
+    assert payload["representatives"] == [[-1, -10007]]

@@ -19,7 +19,7 @@ from conicring import (
 )
 
 from conftest import nonzero_rationals
-from oracles import brute_legendre, local_solvable
+from oracles import brute_is_prime, brute_legendre, local_solvable
 
 
 class TestFactor:
@@ -92,6 +92,9 @@ class TestLegendre:
             legendre(3, 2)
 
 
+PLACE_PRIMES = [2, 3, 5, 7, 11, 13, 97, 101, 10007]
+
+
 class TestPlace:
     def test_order(self):
         places = [Place.real(), Place.finite(5), Place.finite(2), Place.finite(3)]
@@ -109,6 +112,33 @@ class TestPlace:
 
     def test_is_prime(self):
         assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+    @given(st.sampled_from(PLACE_PRIMES + [None]), st.sampled_from(PLACE_PRIMES + [None]))
+    def test_order_matches_key(self, p, q):
+        x, y = Place(p), Place(q)
+        kx, ky = (p is None, p or 0), (q is None, q or 0)
+        assert (x < y) == (kx < ky)
+        assert (x <= y) == (kx <= ky)
+
+
+class TestIsPrime:
+    def test_matches_oracle(self):
+        for n in range(-5, 3001):
+            assert is_prime(n) == brute_is_prime(n), n
+
+    @pytest.mark.parametrize(
+        "n,expected",
+        [
+            (10007, True),
+            (1000003, True),
+            (999999999989, True),
+            (561, False),  # a Carmichael number
+            (1009 * 1009, False),
+            (1009 * 1013, False),
+        ],
+    )
+    def test_fixed_cases(self, n, expected):
+        assert is_prime(n) is expected
 
 
 class TestParseRational:
