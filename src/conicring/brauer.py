@@ -103,7 +103,9 @@ TRIVIAL_SUBGROUP = Subgroup()
 
 
 def _from_bits(bits: int, places: Sequence[Place]) -> BrauerClass:
-    return BrauerClass(p for i, p in enumerate(places) if (bits >> i) & 1)
+    """The class of a row of `_bit_rows` or an F2 combination of such rows."""
+    # `places` is sorted and distinct, and an XOR of even rows is even.
+    return BrauerClass._trusted(tuple(p for i, p in enumerate(places) if (bits >> i) & 1))
 
 
 def _rref(rows: list[int], n_cols: int) -> tuple[int, list[tuple[int, int]]]:
@@ -145,7 +147,8 @@ def span(classes: Iterable[BrauerClass]) -> Subgroup:
     """Canonical basis of the F2-span; independent of the input order."""
     places, rows = _bit_rows(list(classes))
     rank, _ = _rref(rows, len(places))
-    return Subgroup(_from_bits(r, places) for r in rows[:rank])
+    # Nonzero rows in reduced echelon form over ascending places are a canonical basis.
+    return Subgroup._trusted(tuple(_from_bits(r, places) for r in rows[:rank]))
 
 
 def join(g1: Subgroup, g2: Subgroup) -> Subgroup:
@@ -209,4 +212,5 @@ def reduce_generators(
     places, rows = _bit_rows(classes)
     rank, moves = _rref(rows, len(places))
     ops = [TransvectionOp(i, j) for i, j in moves]
-    return ops, Subgroup(_from_bits(r, places) for r in rows[:rank])
+    # Nonzero rows in reduced echelon form over ascending places are a canonical basis.
+    return ops, Subgroup._trusted(tuple(_from_bits(r, places) for r in rows[:rank]))

@@ -157,15 +157,15 @@ def cmd_reduce(args):
 def cmd_ring_eval(args):
     element = parse_ring_expression(_read_text(args.path), args.factor_bound)
     limit = sys.get_int_max_str_digits()
-    # 10**limit exceeds 8**limit, so a coefficient of at most 3*limit bits is
-    # below it; only a longer one pays for computing 10**limit.
-    if limit and any(
-        coeff.bit_length() > 3 * limit and abs(coeff) >= 10**limit for _, coeff in element.terms
-    ):
-        raise ResourceBoundExceeded(
-            f"a coefficient of the result has more than {limit} digits, "
-            f"Python's int-string limit"
-        )
+    coefficients = [coeff for _, coeff in element.terms]
+    powers = [term.lefschetz_power for term, _ in element.terms]
+    for what, numbers in (("a coefficient", coefficients), ("a Lefschetz power", powers)):
+        # 10**limit exceeds 8**limit, so a number of at most 3*limit bits is
+        # below it; only a longer one pays for computing 10**limit.
+        if limit and any(n.bit_length() > 3 * limit and abs(n) >= 10**limit for n in numbers):
+            raise ResourceBoundExceeded(
+                f"{what} of the result has more than {limit} digits, Python's int-string limit"
+            )
     terms = [{"coefficient": coeff, "basis": [_class_json(c) for c in term.group.basis],
               "lefschetz": term.lefschetz_power} for term, coeff in element.terms]
     return {"terms": terms}, [render_element(element)]

@@ -32,15 +32,20 @@ from .errors import InvalidConic, SearchBoundExceeded
 from .numtheory import (
     DEFAULT_FACTOR_BOUND,
     Place,
+    _legendre,
     candidate_places,
     factor,
     hilbert_symbol,
-    legendre,
     squarefree_part,
 )
 from .value import Value
 
 DEFAULT_SEARCH_BOUND = 10**4
+
+#: Entries kept by each cache of this module, least recently used dropped
+#: first, so a long-running process holds at most this many per cache.  An
+#: 18 s run of any bench workload meets fewer distinct conics.
+CACHE_SIZE = 4096
 
 
 class Conic(Value):
@@ -82,7 +87,7 @@ def new_conic(a, b, factor_bound: int = DEFAULT_FACTOR_BOUND) -> Conic:
     return Conic(squarefree_part(a, factor_bound), squarefree_part(b, factor_bound))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _ramification(a: int, b: int) -> BrauerClass:
     # Conic.__init__ has already trial-divided a and b up to their square
     # roots (`_squarefree_small`), so factoring them in full costs no more
@@ -123,7 +128,7 @@ def _signed_squarefree(limit: int) -> Iterator[int]:
             yield -n
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=CACHE_SIZE)
 def _squarefree_small(n: int) -> bool:
     d = 2
     while d * d <= n:
@@ -142,7 +147,7 @@ def _nonsquare_in_completion(d: int, place: Place) -> bool:
         return True  # odd valuation
     if p == 2:
         return d % 8 != 1
-    return legendre(d, p) == -1
+    return _legendre(d, p) == -1  # p is an odd Place prime
 
 
 def _splitting_discriminants(c1: Conic, c2: Conic, search_bound: int) -> Iterator[int]:
@@ -199,8 +204,8 @@ def _rewrite_candidates(target: BrauerClass, d: int, search_bound: int) -> list[
     mandatory = math.prod(q for q in odd_target if d % q != 0)
     _, d_factors = factor(d, abs(d))
     optional = {2} | {q for q in d_factors if q != 2} | {
-        r for r in (3, 5, 7, 11, 13)
-        if r not in odd_target and d % r != 0 and legendre(d, r) == 1
+        r for r in (3, 5, 7, 11, 13)  # odd primes, so `_legendre` needs no check
+        if r not in odd_target and d % r != 0 and _legendre(d, r) == 1
     }
     return _signed_subset_products(mandatory, optional, search_bound)
 
@@ -277,7 +282,8 @@ def _symbol_masks(values: list[int], odd: list[int]) -> list[tuple[int, int]]:
     """
 
     def nonresidue_bits(g: int) -> int:
-        return sum(1 << k for k, p in enumerate(odd) if g % p and legendre(g, p) == -1)
+        # `odd` holds Place primes and small constant primes, all odd.
+        return sum(1 << k for k, p in enumerate(odd) if g % p and _legendre(g, p) == -1)
 
     real = 1 << len(odd)
     minus = nonresidue_bits(-1)

@@ -118,6 +118,12 @@ class RingElement(Value):
     def __pow__(self, s: int) -> "RingElement":
         if s < 0:
             raise ValueError("exponent must be nonnegative")
+        if s and len(self.terms) == 1 and self.terms[0][1] in (1, -1):
+            # The term law applied s - 1 times: (+-Term(G, m))^s
+            # = (+-1)^s * Term(G, s*m + (s-1)*dim G), as in power_coefficient_check.
+            (term, coeff), = self.terms
+            power = s * term.lefschetz_power + (s - 1) * term.group.dim
+            return RingElement({Term(term.group, power): coeff if s % 2 else 1})
         result = RingElement.one()
         for _ in range(s):
             result = result * self

@@ -105,6 +105,11 @@ def legendre(a: int, p: int) -> int:
     """Legendre symbol (a|p) for an odd prime p, via Euler's criterion."""
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
+    return _legendre(a, p)
+
+
+def _legendre(a: int, p: int) -> int:
+    """`legendre` for a p the caller already knows to be an odd prime; p is not checked."""
     a %= p
     if a == 0:
         return 0
@@ -148,6 +153,7 @@ class Place(Value):
 
 
 REAL = Place.real()
+_TWO = Place.finite(2)
 
 
 def _odd_part(n: int, p: int) -> tuple[int, int]:
@@ -194,10 +200,11 @@ def hilbert_symbol(a: Fraction | int, b: Fraction | int, place: Place) -> int:
     sign = 1
     if alpha and beta and ((p - 1) // 2) % 2:
         sign = -sign
+    # p is odd and, as a Place's prime, already checked.
     if beta:
-        sign *= legendre(u, p)
+        sign *= _legendre(u, p)
     if alpha:
-        sign *= legendre(w, p)
+        sign *= _legendre(w, p)
     return sign
 
 
@@ -219,4 +226,5 @@ def candidate_places(
     for n in (a.numerator, a.denominator, b.numerator, b.denominator):
         _, factors = factor(n, factor_bound)
         odd.update(q for q in factors if q != 2)
-    return [Place.finite(2), *(Place.finite(q) for q in sorted(odd)), REAL]
+    # Every q is a prime that `factor` returned.
+    return [_TWO, *(Place._trusted(q) for q in sorted(odd)), REAL]

@@ -22,6 +22,16 @@ class Value:
         _set(self, "_values", values)
         _set(self, "_hash", None)
 
+    @classmethod
+    def _trusted(cls, *values):
+        """An instance with these fields, skipping `__init__`'s checks.
+
+        Only for fields that are valid by construction; callers say why.
+        """
+        self = object.__new__(cls)
+        self._init(*values)
+        return self
+
     def __eq__(self, other):
         return self._values == other._values if other.__class__ is self.__class__ else NotImplemented
 

@@ -77,6 +77,13 @@ def span_dim(classes) -> int:
     return len(subset_sums(classes)).bit_length() - 1
 
 
+@functools.lru_cache(maxsize=None)
+def _pair_class(a: int, b: int) -> BrauerClass:
+    """The class of Conic(a, b), kept for every pair: the searches below share
+    far more pairs than `conics`' own bounded cache holds."""
+    return brauer_class(Conic(a, b))
+
+
 def first_realizing_pair(cls: BrauerClass, bound: int) -> Conic:
     """`conic_from_class` by classifying every pair it tries.
 
@@ -96,6 +103,6 @@ def first_realizing_pair(cls: BrauerClass, bound: int) -> Conic:
     for n, vn in enumerate(values):
         for vi in values[: n + 1]:
             for a, b in [(vi, vn)] if vi == vn else [(vi, vn), (vn, vi)]:
-                if brauer_class(Conic(a, b)) == cls:
+                if _pair_class(a, b) == cls:
                     return Conic(a, b)
     raise SearchBoundExceeded(f"no conic with coefficients <= {bound} realizes {cls}")

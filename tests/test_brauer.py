@@ -215,3 +215,24 @@ class TestTransvections:
     def test_op_budget(self, classes):
         ops, basis = reduce_generators(classes)
         assert len(ops) <= 3 * len(classes) * (basis.dim + 1)
+
+
+#: Wider than conftest's pool, so reductions cancel more places.
+WIDE_POOL = [Place.finite(p) for p in (2, 3, 5, 7, 11, 13)] + [INF]
+
+
+def rebuilt(group):
+    """The same subgroup built through the checked constructors only."""
+    return Subgroup(tuple(BrauerClass(c.places) for c in group.basis))
+
+
+class TestTrustedConstruction:
+    """`span`, `join` and `reduce_generators` skip the constructors' checks."""
+
+    @given(st.lists(brauer_classes(WIDE_POOL), max_size=7),
+           st.lists(brauer_classes(WIDE_POOL), max_size=4))
+    def test_results_pass_the_checked_constructors(self, classes, more):
+        g, h = span(classes), span(more)
+        _, reduced = reduce_generators(classes)
+        for group in (g, join(g, h), reduced):
+            assert rebuilt(group) == group

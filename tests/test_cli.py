@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -204,6 +205,28 @@ class TestExitCodes:
         path.write_text("2^20000\n")
         result = cli_process("ring-eval", *flags, str(path))
         message = b"error: a coefficient of the result has more than 4300 digits"
+        assert is_handled_error(result, 2, message), result.stderr.decode()
+        assert result.stdout == b""
+
+    @pytest.mark.parametrize("text,expected", [
+        ("[(-1,-1)]^100000000\n", b"C({2,inf})[L]^99999999\n"),
+        ("P1^99999999999999999999\n", b"C(0)[L]^99999999999999999999\n"),
+    ])
+    def test_huge_power_of_one_term_is_fast(self, tmp_path, text, expected):
+        """A one-term element with coefficient +-1 is raised in closed form."""
+        path = tmp_path / "power.txt"
+        path.write_text(text)
+        start = time.monotonic()
+        assert run_cli("ring-eval", str(path)) == expected
+        assert time.monotonic() - start < 1
+
+    @pytest.mark.parametrize("flags", [(), ("--json",)])
+    def test_huge_lefschetz_power_is_exit_two(self, tmp_path, flags):
+        """A 4,300-digit exponent gives P1 a power of 4,301 digits."""
+        path = tmp_path / "power.txt"
+        path.write_text("([(-1,-1)]*P1)^" + "9" * 4300 + "\n")
+        result = cli_process("ring-eval", *flags, str(path))
+        message = b"error: a Lefschetz power of the result has more than 4300 digits"
         assert is_handled_error(result, 2, message), result.stderr.decode()
         assert result.stdout == b""
 

@@ -33,7 +33,13 @@ from conicring import (
     sqrt_of,
 )
 
-from conicring.conics import _ramification, _ramified_masks, _symbol_masks
+from conicring.conics import (
+    CACHE_SIZE,
+    _ramification,
+    _ramified_masks,
+    _squarefree_small,
+    _symbol_masks,
+)
 from conftest import conics, small_rationals
 from oracles import brute_legendre, first_realizing_pair, local_solvable
 
@@ -496,6 +502,16 @@ class TestLocalSymbolFilter:
                 expected = sum(real if v.is_real else 1 << odd.index(v.p)
                                for v in places if v.p != 2)
                 assert got == expected, (a, b)
+
+    def test_caches_are_bounded(self):
+        """Three times the bound of distinct conics leave each cache at most full."""
+        n = 3 * CACHE_SIZE
+        values = [v for v in range(1, n + 1) if _squarefree_small(v)]
+        for a, b in itertools.islice(itertools.product(values[:111], repeat=2), n):
+            brauer_class(Conic(a, b))
+        for cache in (_ramification, _squarefree_small):
+            info = cache.cache_info()
+            assert info.maxsize == CACHE_SIZE and info.currsize <= CACHE_SIZE
 
     def test_one_class_cache_entry_per_search(self):
         cls = BrauerClass([Place.finite(2), Place.finite(1009)])

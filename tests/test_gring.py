@@ -26,7 +26,7 @@ from conicring import (
     term_mul,
 )
 
-from conftest import ring_elements
+from conftest import ring_elements, subgroups
 
 C_SPLIT = new_conic(1, 1)
 C_II = new_conic(-1, -1)
@@ -112,6 +112,18 @@ class TestRingArithmetic:
     def test_monomial_power(self):
         x = RingElement({Term(G_II, 1): 3})
         assert x ** 3 == RingElement({Term(G_II, 3 + 2 * G_II.dim): 27})
+
+    @given(subgroups(), st.integers(0, 3), st.sampled_from([1, -1]), st.integers(0, 12))
+    def test_one_term_power_matches_repeated_products(self, group, power, coeff, s):
+        x = RingElement({Term(group, power): coeff})
+        product = RingElement.one()
+        for _ in range(s):
+            product = product * x
+        assert x ** s == product
+
+    def test_huge_one_term_powers(self):
+        assert P1 ** (10**20) == RingElement.lefschetz(10**20)
+        assert (-element_of(C_II)) ** (10**8 + 1) == RingElement({Term(G_II, 10**8): -1})
 
     @given(ring_elements(), ring_elements(), ring_elements())
     @settings(max_examples=60, deadline=None)

@@ -17,6 +17,7 @@ from conicring import (
     parse_rational,
     squarefree_part,
 )
+from conicring.numtheory import _legendre
 
 from conftest import nonzero_rationals
 from oracles import brute_is_prime, brute_legendre, local_solvable
@@ -86,10 +87,15 @@ class TestLegendre:
             assert legendre(a, p) == brute_legendre(a, p)
 
     def test_rejects_non_prime(self):
-        with pytest.raises(ValueError):
-            legendre(3, 9)
-        with pytest.raises(ValueError):
-            legendre(3, 2)
+        for p in (1, 2, 9, 15):
+            with pytest.raises(ValueError, match="not an odd prime"):
+                legendre(3, p)
+
+    def test_unchecked_matches_oracle_below_200(self):
+        for p in range(3, 200, 2):
+            if brute_is_prime(p):
+                for a in range(p):
+                    assert _legendre(a, p) == brute_legendre(a, p), (a, p)
 
 
 PLACE_PRIMES = [2, 3, 5, 7, 11, 13, 97, 101, 10007]
@@ -244,6 +250,14 @@ class TestCandidatePlaces:
 
     def test_denominators_count(self):
         assert Place.finite(7) in candidate_places(Fraction(1, 7), 1)
+
+    @given(nonzero_rationals, nonzero_rationals)
+    def test_same_as_checked_places(self, a, b):
+        """The places are built unchecked from `factor`'s primes."""
+        odd = {q for n in (a.numerator, a.denominator, b.numerator, b.denominator)
+               for q in factor(n)[1] if q != 2}
+        checked = [Place(2), *(Place(q) for q in sorted(odd)), Place(None)]
+        assert candidate_places(a, b) == checked
 
     @given(nonzero_rationals, nonzero_rationals)
     def test_symbol_trivial_elsewhere(self, a, b):

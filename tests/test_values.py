@@ -6,9 +6,11 @@ repr, takes its fields as keywords, refuses assignment and deletion, and
 survives copy, deepcopy and pickle.
 """
 
+import ast
 import copy
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -149,3 +151,28 @@ class TestProjPoint:
         for clone in (copy.copy(POINT), copy.deepcopy(POINT), pickle.loads(pickle.dumps(POINT))):
             assert type(clone) is ProjPoint
             assert clone == POINT and clone.coords == POINT.coords
+
+
+class TestTrusted:
+    """`Value._trusted` builds an instance without running `__init__`."""
+
+    def test_equal_to_the_checked_instance(self):
+        built = Subgroup._trusted((BrauerClass._trusted((P2, INF)),))
+        assert built == GROUP and hash(built) == hash(GROUP) and repr(built) == repr(GROUP)
+        assert Place._trusted(3) == P3
+
+    def test_skips_the_checks(self):
+        with pytest.raises(ValueError):
+            Place(4)
+        assert Place._trusted(4).p == 4
+
+    def test_called_only_where_fields_are_valid_by_construction(self):
+        """Places from `factor`'s primes and classes from `_rref`'s rows; nowhere else."""
+        package = Path(__file__).resolve().parents[1] / "src" / "conicring"
+        callers = set()
+        for path in package.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "_trusted"):
+                    callers.add(path.name)
+        assert {"numtheory.py", "brauer.py"} <= callers <= {"value.py", "numtheory.py", "brauer.py"}
