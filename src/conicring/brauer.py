@@ -108,6 +108,12 @@ def _from_bits(bits: int, places: Sequence[Place]) -> BrauerClass:
     return BrauerClass._trusted(tuple(p for i, p in enumerate(places) if (bits >> i) & 1))
 
 
+def _basis(rows: Sequence[int], rank: int, places: Sequence[Place]) -> Subgroup:
+    """The subgroup whose basis is the first `rank` rows `_rref` left in `rows`."""
+    # Nonzero rows in reduced echelon form over ascending places are a canonical basis.
+    return Subgroup._trusted(tuple(_from_bits(r, places) for r in rows[:rank]))
+
+
 def _rref(rows: list[int], n_cols: int) -> tuple[int, list[tuple[int, int]]]:
     """Reduce rows in place to reduced row echelon form over GF(2).
 
@@ -147,8 +153,7 @@ def span(classes: Iterable[BrauerClass]) -> Subgroup:
     """Canonical basis of the F2-span; independent of the input order."""
     places, rows = _bit_rows(list(classes))
     rank, _ = _rref(rows, len(places))
-    # Nonzero rows in reduced echelon form over ascending places are a canonical basis.
-    return Subgroup._trusted(tuple(_from_bits(r, places) for r in rows[:rank]))
+    return _basis(rows, rank, places)
 
 
 def join(g1: Subgroup, g2: Subgroup) -> Subgroup:
@@ -212,5 +217,4 @@ def reduce_generators(
     places, rows = _bit_rows(classes)
     rank, moves = _rref(rows, len(places))
     ops = [TransvectionOp(i, j) for i, j in moves]
-    # Nonzero rows in reduced echelon form over ascending places are a canonical basis.
-    return ops, Subgroup._trusted(tuple(_from_bits(r, places) for r in rows[:rank]))
+    return ops, _basis(rows, rank, places)
